@@ -54,10 +54,9 @@ from .params import (
     ClientUpdate,
     DistancePair,
     as_parameter_vector,
-    cosine_distance,
-    euclidean_distance,
     pairwise_distances,
     softmax_weights,
+    stack_updates,
     weighted_average,
 )
 

@@ -2,6 +2,8 @@
 
 All rules consume a sequence of ClientUpdate and return an AggregationResult
 whose weight vector (when one exists) is aligned to ascending client id.
+Each rule stacks and validates its updates once, with ``stack_updates``, and
+works on that (n, d) matrix from then on.
 Median and trimmed mean have no faithful per-client attribution, so their
 result carries ``weights=None`` rather than a fabricated vector.
 """
@@ -12,6 +14,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.spatial.distance import pdist, squareform
 
 from .copod import dos_outlier_scores
 from .errors import ConfigError
@@ -60,15 +63,16 @@ class AggregationResult:
 
 def aggregate_dos(updates) -> AggregationResult:
     """Distance matrices -> COPOD outlier scores -> softmax weights -> average."""
-    scores = dos_outlier_scores(pairwise_distances(updates))
+    _, mat = stack_updates(updates)
+    scores = dos_outlier_scores(pairwise_distances(mat))
     weights = softmax_weights(scores)
-    new_global = weighted_average(updates, weights)
+    new_global = weighted_average(mat, weights)
     return AggregationResult(new_global=new_global, weights=weights, scores=scores)
 
 
 def aggregate_fedavg(updates, alphas=None) -> AggregationResult:
     """Fixed-weight average; defaults to uniform 1/n."""
-    ids, mat = stack_updates(updates)
+    _, mat = stack_updates(updates)
     n = mat.shape[0]
     if alphas is None:
         w = np.full(n, 1.0 / n)
@@ -80,7 +84,7 @@ def aggregate_fedavg(updates, alphas=None) -> AggregationResult:
             check_weights(w)
         except ValueError as exc:
             raise ConfigError(f"invalid fedavg alphas: {exc}") from exc
-    return AggregationResult(new_global=weighted_average(updates, w), weights=w)
+    return AggregationResult(new_global=weighted_average(mat, w), weights=w)
 
 
 def aggregate_median(updates) -> AggregationResult:
@@ -107,18 +111,18 @@ def aggregate_trimmed_mean(updates, trim_fraction: float) -> AggregationResult:
 def aggregate_krum(updates, f: int) -> AggregationResult:
     """Select the update with the smallest sum of squared distances to its
     n - f - 2 nearest other updates; ties break to the lowest client id.
+
+    The squared distances come from ``pdist``, so memory is O(n^2 + n*d):
+    no (n, n, d) difference tensor is built.
     """
-    ids, mat = stack_updates(updates)
+    _, mat = stack_updates(updates)
     n = mat.shape[0]
     neighbors = n - f - 2
     if f < 0 or neighbors < 1:
         raise ConfigError(f"krum needs n - f - 2 >= 1, got n={n}, f={f}")
-    diffs = mat[:, None, :] - mat[None, :, :]
-    sq = np.einsum("ijk,ijk->ij", diffs, diffs)
-    scores = np.empty(n)
-    for i in range(n):
-        others = np.delete(sq[i], i)
-        scores[i] = np.sort(others)[:neighbors].sum()
+    sq = squareform(pdist(mat, "sqeuclidean"))
+    np.fill_diagonal(sq, np.inf)  # a row is not its own neighbour
+    scores = np.sort(sq, axis=1)[:, :neighbors].sum(axis=1)
     pick = int(np.argmin(scores))  # argmin takes the first minimum: lowest id
     weights = np.zeros(n)
     weights[pick] = 1.0

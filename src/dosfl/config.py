@@ -259,52 +259,56 @@ def parse_config_file(path) -> ExperimentConfig:
 
 
 def _build_config(raw: dict[str, str], custom: tuple[tuple[int, str], ...]) -> ExperimentConfig:
+    """Build the config from the parsed keys; every absent key takes the
+    default of ``ExperimentConfig`` and its nested dataclasses."""
+    base = ExperimentConfig()
     geti = lambda k, d: int(raw[k]) if k in raw else d
     getf = lambda k, d: float(raw[k]) if k in raw else d
     gets = lambda k, d: raw.get(k, d)
 
-    kind = gets("model.kind", "logistic")
+    kind = gets("model.kind", base.model.kind)
     if kind not in MODEL_KINDS:
         raise ConfigError(f"model.kind must be one of {', '.join(MODEL_KINDS)}, got {kind!r}")
     model = ModelSpec(kind=kind,
-                      input_dim=geti("model.input_dim", 20),
-                      class_count=geti("model.classes", 4),
-                      hidden_dim=geti("model.hidden_dim", 32))
-    train = TrainConfig(learning_rate=getf("train.learning_rate", 0.01),
-                        local_steps=geti("train.local_steps", 1),
-                        batch_size=geti("train.batch_size", 32),
-                        rounds=geti("train.rounds", 100))
-    agg_kind = gets("aggregator", "dos")
+                      input_dim=geti("model.input_dim", base.model.input_dim),
+                      class_count=geti("model.classes", base.model.class_count),
+                      hidden_dim=geti("model.hidden_dim", base.model.hidden_dim))
+    train = TrainConfig(learning_rate=getf("train.learning_rate", base.train.learning_rate),
+                        local_steps=geti("train.local_steps", base.train.local_steps),
+                        batch_size=geti("train.batch_size", base.train.batch_size),
+                        rounds=geti("train.rounds", base.train.rounds))
+    agg_kind = gets("aggregator", base.aggregator.kind)
     if agg_kind not in AGGREGATOR_KINDS:
         raise ConfigError(f"aggregator must be one of {', '.join(AGGREGATOR_KINDS)}, "
                           f"got {agg_kind!r}")
-    aggregator = AggregatorSpec(kind=agg_kind,
-                                trim_fraction=getf("aggregator.trim_fraction", 0.4),
-                                krum_f=geti("aggregator.krum_f", None))
-    attack = gets("attack", "no_attack")
+    aggregator = AggregatorSpec(
+        kind=agg_kind,
+        trim_fraction=getf("aggregator.trim_fraction", base.aggregator.trim_fraction),
+        krum_f=geti("aggregator.krum_f", base.aggregator.krum_f))
+    attack = gets("attack", base.attack)
     if attack != "custom" and custom:
         raise ConfigError("attack.client.* entries require attack = custom")
     if attack != "custom" and attack not in SCENARIOS:
         raise ConfigError(f"unknown attack scenario {attack!r}; valid: "
                           f"{', '.join(sorted(SCENARIOS))}, custom")
-    partition = gets("data.partition", "iid")
+    partition = gets("data.partition", base.partition)
     if partition not in ("iid", "label_skew"):
         raise ConfigError(f"data.partition must be iid or label_skew, got {partition!r}")
 
     return ExperimentConfig(
-        seed=geti("seed", 0),
-        clients=geti("clients", 10),
+        seed=geti("seed", base.seed),
+        clients=geti("clients", base.clients),
         model=model,
-        samples_per_class=geti("data.samples_per_class", 200),
-        test_per_class=geti("data.test_per_class", 50),
-        class_separation=getf("data.class_separation", 6.0),
+        samples_per_class=geti("data.samples_per_class", base.samples_per_class),
+        test_per_class=geti("data.test_per_class", base.test_per_class),
+        class_separation=getf("data.class_separation", base.class_separation),
         partition=partition,
-        skew_alpha=getf("data.alpha", 0.5),
+        skew_alpha=getf("data.alpha", base.skew_alpha),
         train=train,
         aggregator=aggregator,
         attack=attack,
         custom_plan=custom,
-        output_dir=gets("output_dir", "out"),
+        output_dir=gets("output_dir", base.output_dir),
     )
 
 

@@ -10,6 +10,13 @@ symmetric).  A sample's score is the sum over columns, so a sample deep in
 the skewed tail of any column scores high, while a sample in the short tail
 of a skewed column counts only half.
 
+The ECDFs of all columns come from one sort per column of the transposed
+matrix: the weak-inequality counts at a point are the ends of its tie run in
+sorted order.  They are exact integers, so the scores do not depend on how
+they are computed.  The skewness signs are reductions along the same
+transposed block, and the per-column contributions are summed in column
+order.
+
 Scoring is rank-based apart from the skewness sign, so the scores are
 invariant under positive-affine per-column maps, which keep both the ranks
 and the sign of the skewness.  They are not invariant under every strictly
@@ -30,7 +37,8 @@ from .params import DistancePair
 def ecdf_left(column) -> np.ndarray:
     """Left-tail ECDF evaluated at each point: F(x_i) = |{k : x_k <= x_i}| / n."""
     x = _as_column(column)
-    return (x[:, None] >= x[None, :]).mean(axis=1)
+    at_most, _ = _ecdf_counts(x[None, :])
+    return at_most[0] / x.size
 
 
 def ecdf_right(column) -> np.ndarray:
@@ -39,7 +47,8 @@ def ecdf_right(column) -> np.ndarray:
     Equals ecdf_left applied to the negated column.
     """
     x = _as_column(column)
-    return (x[:, None] <= x[None, :]).mean(axis=1)
+    _, below = _ecdf_counts(x[None, :])
+    return (x.size - below[0]) / x.size
 
 
 def skew_sign(column) -> int:
@@ -52,14 +61,7 @@ def skew_sign(column) -> int:
     x = _as_column(column)
     if x.size < 2:
         raise ConfigError("skew_sign needs at least 2 values")
-    if x.min() == x.max():
-        return 0
-    dev = x - x.mean()
-    dev /= np.abs(dev).max()  # keeps the powers below from under- or overflowing
-    g1 = np.mean(dev**3) / np.mean(dev**2) ** 1.5
-    if abs(g1) < 1e-12:
-        return 0
-    return 1 if g1 > 0 else -1
+    return int(_skew_signs(x[None, :])[0])
 
 
 def copod_scores(matrix) -> np.ndarray:
@@ -75,21 +77,20 @@ def copod_scores(matrix) -> np.ndarray:
     m = np.asarray(matrix, dtype=np.float64)
     if m.ndim != 2:
         raise ConfigError(f"expected a 2-D matrix, got shape {m.shape}")
-    n, d = m.shape
+    n = m.shape[0]
     if n < 2:
         raise ConfigError(f"COPOD needs at least 2 rows, got {n}")
     if not np.all(np.isfinite(m)):
         raise NumericError("score matrix contains NaN or Inf")
 
-    scores = np.zeros(n)
-    for j in range(d):
-        col = m[:, j]
-        left = -np.log(ecdf_left(col))
-        right = -np.log(ecdf_right(col))
-        sign = skew_sign(col)
-        tail = left if sign < 0 else right if sign > 0 else left + right
-        scores += np.maximum(tail, (left + right) / 2.0)
-    return scores
+    block = np.ascontiguousarray(m.T)  # one row per column of the input
+    at_most, below = _ecdf_counts(block)
+    left = -np.log(at_most / n)
+    right = -np.log((n - below) / n)
+    sign = _skew_signs(block)[:, None]
+    tail = np.where(sign < 0, left, np.where(sign > 0, right, left + right))
+    # summing along axis 0 adds the columns in order, as a running sum would
+    return np.maximum(tail, (left + right) / 2.0).sum(axis=0)
 
 
 def dos_outlier_scores(distances: DistancePair) -> np.ndarray:
@@ -110,3 +111,44 @@ def _as_column(column) -> np.ndarray:
     if not np.all(np.isfinite(x)):
         raise NumericError("column contains NaN or Inf")
     return x
+
+
+def _ecdf_counts(block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """For each row x of a (d, n) block, the counts |{k : x_k <= x_i}| and
+    |{k : x_k < x_i}| at every i, read from one sort per row.
+
+    In sorted order, the first count is the end of x_i's tie run and the
+    second its start.
+    """
+    d, n = block.shape
+    order = np.argsort(block, axis=1)  # the order within a tie run does not matter
+    ranked = np.take_along_axis(block, order, axis=1)
+    starts = np.ones((d, n), dtype=bool)
+    starts[:, 1:] = ranked[:, 1:] != ranked[:, :-1]
+    ends = np.ones((d, n), dtype=bool)
+    ends[:, :-1] = starts[:, 1:]
+    pos = np.arange(n)
+    run_start = np.maximum.accumulate(np.where(starts, pos, 0), axis=1)
+    run_end = np.minimum.accumulate(np.where(ends, pos + 1, n)[:, ::-1], axis=1)[:, ::-1]
+    at_most = np.empty((d, n), dtype=np.intp)
+    below = np.empty((d, n), dtype=np.intp)
+    np.put_along_axis(at_most, order, run_end, axis=1)
+    np.put_along_axis(below, order, run_start, axis=1)
+    return at_most, below
+
+
+def _skew_signs(block: np.ndarray) -> np.ndarray:
+    """Skewness sign of each row of a (d, n) block, reduced along the rows.
+
+    Constant rows map to 0.  Each row's deviations are divided by their
+    largest magnitude, which keeps the powers from under- or overflowing.
+    """
+    constant = block.min(axis=1) == block.max(axis=1)
+    dev = block - block.mean(axis=1, keepdims=True)
+    dev[constant] = 0.0  # the mean of equal values can be off by rounding
+    dev /= np.where(constant, 1.0, np.abs(dev).max(axis=1))[:, None]
+    sq = dev * dev
+    with np.errstate(invalid="ignore"):  # 0 / 0 on constant rows
+        # sq * dev, not dev**3: numpy's pow is ~50x slower on negative bases
+        g1 = np.mean(sq * dev, axis=1) / np.mean(sq, axis=1) ** 1.5
+    return np.where(constant | (np.abs(g1) < 1e-12), 0.0, np.sign(g1))

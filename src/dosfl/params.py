@@ -1,8 +1,11 @@
 """Flat parameter vectors, pairwise distance matrices, and softmax weighting.
 
-Everything here operates on plain 1-D float64 numpy arrays validated by
-:func:`as_parameter_vector`.  All functions are pure; matrix rows and columns
-are always ordered by ascending client id.
+Parameter vectors are plain 1-D float64 numpy arrays validated by
+:func:`as_parameter_vector`.  :func:`stack_updates` is the one place that
+sorts a round's updates by client id, checks them against each other and
+stacks them into an (n, d) matrix; the matrix kernels here take that matrix,
+so a rule stacks and validates its updates once per round.  All functions are
+pure; matrix rows and columns are always ordered by ascending client id.
 """
 
 from __future__ import annotations
@@ -10,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.spatial.distance import pdist, squareform
 
 from .errors import ConfigError, DimensionError, NumericError
 
@@ -69,48 +73,37 @@ def stack_updates(updates) -> tuple[list[int], np.ndarray]:
     return ids, np.stack([u.params for u in ups])
 
 
-def euclidean_distance(a: np.ndarray, b: np.ndarray) -> float:
-    """L2 norm of a - b."""
-    if a.shape != b.shape:
-        raise DimensionError(f"length mismatch: {a.shape} vs {b.shape}")
-    return float(np.linalg.norm(a - b))
+def pairwise_distances(mat: np.ndarray) -> DistancePair:
+    """Compute the n x n Euclidean and cosine distance matrices of the rows
+    of a matrix stacked by :func:`stack_updates`.
 
-
-def cosine_distance(a: np.ndarray, b: np.ndarray) -> float:
-    """1 - cos(a, b), in [0, 2].
-
-    A zero-norm vector is treated as orthogonal to everything (distance 1.0),
-    which keeps the distance matrix finite when an attack or initialization
-    produces an all-zero update.
+    Both come from ``scipy.spatial.distance.pdist``, which loops over the row
+    pairs in C without a BLAS call or an (n, n, d) temporary.  Both matrices
+    are symmetric with an exactly zero diagonal.  The cosine distance
+    1 - cos(a, b) lies in [0, 2]; a row whose norm is 0, including one whose
+    squared entries underflow, is orthogonal to every other row (distance
+    1.0), which keeps the matrix finite when an attack or initialization
+    produces an all-zero update.  Exactly equal non-zero rows are at
+    distance exactly 0.
     """
-    if a.shape != b.shape:
-        raise DimensionError(f"length mismatch: {a.shape} vs {b.shape}")
-    na = np.linalg.norm(a)
-    nb = np.linalg.norm(b)
-    if na == 0.0 or nb == 0.0:
-        return 1.0
-    if np.array_equal(a, b):  # exact zero for identical nonzero vectors
-        return 0.0
-    cos = float(np.dot(a, b) / (na * nb))
-    return float(min(2.0, max(0.0, 1.0 - cos)))
-
-
-def pairwise_distances(updates) -> DistancePair:
-    """Compute the n x n Euclidean and cosine distance matrices.
-
-    Rows/columns follow ascending client id; both matrices are symmetric with
-    an exactly zero diagonal.
-    """
-    _, mat = stack_updates(updates)
     n = mat.shape[0]
     if n < 2:
         raise ConfigError(f"pairwise distances need at least 2 updates, got {n}")
-    euc = np.zeros((n, n))
-    cos = np.zeros((n, n))
-    for i in range(n):
-        for j in range(i + 1, n):
-            euc[i, j] = euc[j, i] = euclidean_distance(mat[i], mat[j])
-            cos[i, j] = cos[j, i] = cosine_distance(mat[i], mat[j])
+    euc = squareform(pdist(mat, "euclidean"))
+    cos = squareform(pdist(mat, "cosine"))  # NaN or arbitrary on zero-norm rows, reset below
+    # Equal rows are at Euclidean distance 0, but not every such pair is
+    # equal: squared differences below ~1e-160 underflow.  Compare each
+    # candidate row with the first row of its class of equal rows.
+    first = np.arange(n)
+    for i, j in zip(*np.nonzero(np.triu(euc == 0.0, 1))):
+        if first[i] == i and first[j] == j and np.array_equal(mat[i], mat[j]):
+            first[j] = i
+    cos[first[:, None] == first[None, :]] = 0.0
+    # A squared norm is 0 exactly when the norm is, also when every square underflows.
+    zero_norm = np.einsum("ij,ij->i", mat, mat) == 0.0
+    cos[zero_norm, :] = 1.0
+    cos[:, zero_norm] = 1.0
+    np.fill_diagonal(cos, 0.0)
     return DistancePair(euclidean=euc, cosine=cos)
 
 
@@ -143,13 +136,12 @@ def check_weights(w: np.ndarray, tol: float = 1e-9) -> np.ndarray:
     return w
 
 
-def weighted_average(updates, weights) -> np.ndarray:
-    """Coordinate-wise convex combination sum_i w_i * params_i.
+def weighted_average(mat: np.ndarray, weights) -> np.ndarray:
+    """Coordinate-wise convex combination sum_i w_i * mat[i].
 
-    Updates are consumed in ascending client-id order, so ``weights[k]``
-    applies to the k-th smallest client id.
+    ``mat`` is stacked by :func:`stack_updates`, so ``weights[k]`` applies to
+    the k-th smallest client id.
     """
-    _, mat = stack_updates(updates)
     w = check_weights(weights)
     if w.size != mat.shape[0]:
         raise DimensionError(f"{mat.shape[0]} updates but {w.size} weights")

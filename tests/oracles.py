@@ -4,6 +4,29 @@ numpy-free in their arithmetic so they share nothing with the library path."""
 import math
 
 
+def euclidean_distance(a, b):
+    """L2 norm of a - b."""
+    return math.sqrt(sum((float(x) - float(y)) ** 2 for x, y in zip(a, b, strict=True)))
+
+
+def cosine_distance(a, b):
+    """1 - cos(a, b), clipped to [0, 2].
+
+    A zero-norm vector, including one whose squared entries underflow, is
+    orthogonal to everything (distance 1.0); identical non-zero vectors are
+    at distance exactly 0."""
+    a = [float(x) for x in a]
+    b = [float(y) for y in b]
+    na = math.sqrt(sum(x * x for x in a))
+    nb = math.sqrt(sum(y * y for y in b))
+    if na == 0.0 or nb == 0.0:
+        return 1.0
+    if a == b:
+        return 0.0
+    cos = sum(x * y for x, y in zip(a, b, strict=True)) / (na * nb)
+    return min(2.0, max(0.0, 1.0 - cos))
+
+
 def copod_scores_oracle(matrix):
     """Explicit U/V tables, per-dimension tail fusion, per-row sums.
 

@@ -22,7 +22,7 @@ from dosfl.config import ExperimentConfig, make_noise_plan, with_overrides
 from dosfl.copod import copod_scores, dos_outlier_scores
 from dosfl.harness import run_experiment
 from dosfl.models import ModelSpec, loss_and_grad
-from dosfl.params import ClientUpdate, pairwise_distances, softmax_weights
+from dosfl.params import ClientUpdate, pairwise_distances, softmax_weights, stack_updates
 
 from .oracles import copod_scores_oracle, krum_select_oracle, median_oracle, \
     trimmed_mean_oracle
@@ -189,10 +189,10 @@ def test_property_suite(tmp_path):
     # DOS weight invariance under global positive rescaling
     mat = rng.standard_normal((7, 6))
     ups = [ClientUpdate(i, v) for i, v in enumerate(mat)]
-    w0 = softmax_weights(dos_outlier_scores(pairwise_distances(ups)))
+    w0 = softmax_weights(dos_outlier_scores(pairwise_distances(stack_updates(ups)[1])))
     for alpha in (0.5, 42.0):
         scaled = [ClientUpdate(i, alpha * v) for i, v in enumerate(mat)]
-        w1 = softmax_weights(dos_outlier_scores(pairwise_distances(scaled)))
+        w1 = softmax_weights(dos_outlier_scores(pairwise_distances(stack_updates(scaled)[1])))
         ok &= bool(np.allclose(w0, w1, atol=1e-12))
 
     # COPOD invariance under positive-affine per-column maps
@@ -205,7 +205,7 @@ def test_property_suite(tmp_path):
     ok &= bool(np.allclose(copod_scores(mat[perm]), copod_scores(mat)[perm]))
     shuffled = [ups[i] for i in perm]
     ok &= bool(np.allclose(
-        softmax_weights(dos_outlier_scores(pairwise_distances(shuffled))), w0))
+        softmax_weights(dos_outlier_scores(pairwise_distances(stack_updates(shuffled)[1]))), w0))
 
     # partition conservation
     from dosfl.data import generate_synthetic, partition_iid, partition_label_skew

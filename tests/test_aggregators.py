@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -208,3 +210,19 @@ def test_median_trimmed_krum_match_oracles():
             picked = aggregate_krum(ups, f)
             expected = krum_select_oracle(mat, f)
             np.testing.assert_array_equal(picked.new_global, mat[expected])
+
+
+@pytest.mark.parametrize("rule", [lambda ups: aggregate_krum(ups, f=16), aggregate_dos],
+                         ids=["krum", "dos"])
+def test_rule_peak_memory_is_linear_in_input(rule):
+    # an (n, n, d) temporary would be n = 40 times the input; the rules hold
+    # one stacked copy of it plus (n, n) matrices
+    n, d = 40, 5000
+    ups = updates_of(np.random.default_rng(11).standard_normal((n, d)))
+    tracemalloc.start()
+    try:
+        rule(ups)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * n * d * 8

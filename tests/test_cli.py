@@ -7,6 +7,7 @@ from dosfl.attacks import Crafted, GaussianNoise, LabelFlip, Scale
 from dosfl.cli import main
 from dosfl.config import (
     SCENARIOS,
+    ExperimentConfig,
     expand_scenario,
     make_noise_plan,
     parse_attack_kind,
@@ -46,6 +47,10 @@ def test_parse_defaults_and_overrides():
     assert cfg.clients == 10
     assert cfg.aggregator.kind == "dos"
     assert cfg.attack == "no_attack"
+
+
+def test_parse_empty_text_gives_library_defaults():
+    assert parse_config_text("") == ExperimentConfig()
 
 
 def test_parse_comments_and_blank_lines():

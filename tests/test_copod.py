@@ -3,7 +3,8 @@ import pytest
 
 from dosfl.copod import copod_scores, dos_outlier_scores, ecdf_left, ecdf_right, skew_sign
 from dosfl.errors import ConfigError, NumericError
-from dosfl.params import ClientUpdate, DistancePair, pairwise_distances, softmax_weights
+from dosfl.params import (ClientUpdate, DistancePair, pairwise_distances, softmax_weights,
+                          stack_updates)
 
 from .oracles import copod_scores_oracle
 
@@ -41,6 +42,7 @@ def test_skew_sign():
     assert skew_sign([-9, -2, -1]) == -1
     assert skew_sign([1, 2, 3]) == 0
     assert skew_sign([5, 5, 5]) == 0
+    assert skew_sign([0.1, 0.1, 0.1]) == 0  # the float mean is not exactly 0.1
 
 
 def test_skew_sign_is_scale_free():
@@ -121,7 +123,7 @@ def test_copod_rejects_bad_input():
 def test_dos_scores_average_both_matrices():
     rng = np.random.default_rng(6)
     ups = [ClientUpdate(i, v) for i, v in enumerate(rng.standard_normal((5, 4)))]
-    dp = pairwise_distances(ups)
+    dp = pairwise_distances(stack_updates(ups)[1])
     expected = (copod_scores(dp.euclidean) + copod_scores(dp.cosine)) / 2.0
     np.testing.assert_allclose(dos_outlier_scores(dp), expected)
 
@@ -140,7 +142,7 @@ def test_dos_far_client_scores_highest():
     cluster = [base + 0.01 * rng.standard_normal(6) for _ in range(4)]
     far = base + 100.0 * rng.standard_normal(6) / np.sqrt(6)
     ups = [ClientUpdate(i, v) for i, v in enumerate(cluster + [far])]
-    scores = dos_outlier_scores(pairwise_distances(ups))
+    scores = dos_outlier_scores(pairwise_distances(stack_updates(ups)[1]))
     assert scores[4] > scores[:4].max()
 
 
@@ -148,10 +150,10 @@ def test_dos_invariant_under_global_rescaling():
     rng = np.random.default_rng(8)
     mat = rng.standard_normal((6, 5))
     ups = [ClientUpdate(i, v) for i, v in enumerate(mat)]
-    base = dos_outlier_scores(pairwise_distances(ups))
+    base = dos_outlier_scores(pairwise_distances(stack_updates(ups)[1]))
     for alpha in (0.25, 3.0, 117.0):
         scaled = [ClientUpdate(i, alpha * v) for i, v in enumerate(mat)]
-        scores = dos_outlier_scores(pairwise_distances(scaled))
+        scores = dos_outlier_scores(pairwise_distances(stack_updates(scaled)[1]))
         np.testing.assert_allclose(scores, base, atol=1e-12)
         np.testing.assert_allclose(softmax_weights(scores), softmax_weights(base), atol=1e-12)
 
@@ -163,6 +165,6 @@ def test_dos_weights_invariant_under_tiny_global_rescaling():
         mat = rng.standard_normal((6, 5))
         ups = [ClientUpdate(i, v) for i, v in enumerate(mat)]
         scaled = [ClientUpdate(i, 1e-4 * v) for i, v in enumerate(mat)]
-        base = softmax_weights(dos_outlier_scores(pairwise_distances(ups)))
-        tiny = softmax_weights(dos_outlier_scores(pairwise_distances(scaled)))
+        base = softmax_weights(dos_outlier_scores(pairwise_distances(stack_updates(ups)[1])))
+        tiny = softmax_weights(dos_outlier_scores(pairwise_distances(stack_updates(scaled)[1])))
         np.testing.assert_allclose(tiny, base, atol=1e-12)

@@ -7,12 +7,13 @@ from dosfl.errors import ConfigError, DimensionError, NumericError
 from dosfl.params import (
     ClientUpdate,
     as_parameter_vector,
-    cosine_distance,
-    euclidean_distance,
     pairwise_distances,
     softmax_weights,
+    stack_updates,
     weighted_average,
 )
+
+from . import oracles
 
 
 def vec(*xs):
@@ -32,27 +33,34 @@ def test_parameter_vector_rejects_nonfinite():
         as_parameter_vector([])
 
 
+def distances_of(*rows):
+    return pairwise_distances(np.array(rows, dtype=float))
+
+
 def test_euclidean_examples():
-    assert euclidean_distance(vec(0, 0), vec(3, 4)) == pytest.approx(5.0)
+    assert distances_of(vec(0, 0), vec(3, 4)).euclidean[0, 1] == pytest.approx(5.0)
     v = vec(1.5, -2.5, 7.0)
-    assert euclidean_distance(v, v) == 0.0
-    assert euclidean_distance(vec(1, 2, 3), vec(4, 6, 3)) == pytest.approx(5.0)
+    assert distances_of(v, v).euclidean[0, 1] == 0.0
+    assert distances_of(vec(1, 2, 3), vec(4, 6, 3)).euclidean[0, 1] == pytest.approx(5.0)
+    assert oracles.euclidean_distance(vec(0, 0), vec(3, 4)) == pytest.approx(5.0)
 
 
 def test_euclidean_dimension_error():
     with pytest.raises(DimensionError):
-        euclidean_distance(vec(1, 2), vec(1, 2, 3))
+        pairwise_distances(stack_updates([ClientUpdate(0, vec(1, 2)),
+                                          ClientUpdate(1, vec(1, 2, 3))])[1])
 
 
 def test_cosine_examples():
-    assert cosine_distance(vec(1, 0), vec(2, 0)) == pytest.approx(0.0)
-    assert cosine_distance(vec(1, 0), vec(-1, 0)) == pytest.approx(2.0)
-    assert cosine_distance(vec(1, 0), vec(0, 1)) == pytest.approx(1.0)
+    assert distances_of(vec(1, 0), vec(2, 0)).cosine[0, 1] == pytest.approx(0.0)
+    assert distances_of(vec(1, 0), vec(-1, 0)).cosine[0, 1] == pytest.approx(2.0)
+    assert distances_of(vec(1, 0), vec(0, 1)).cosine[0, 1] == pytest.approx(1.0)
 
 
 def test_cosine_zero_norm_convention():
-    assert cosine_distance(vec(0, 0), vec(1, 2)) == 1.0
-    assert cosine_distance(vec(1, 2), vec(0, 0)) == 1.0
+    assert distances_of(vec(0, 0), vec(1, 2)).cosine[0, 1] == 1.0
+    assert distances_of(vec(1, 2), vec(0, 0)).cosine[0, 1] == 1.0
+    assert oracles.cosine_distance(vec(0, 0), vec(1, 2)) == 1.0
 
 
 def test_distance_symmetry_random():
@@ -60,8 +68,9 @@ def test_distance_symmetry_random():
     for _ in range(50):
         a = rng.standard_normal(8)
         b = rng.standard_normal(8)
-        assert euclidean_distance(a, b) == pytest.approx(euclidean_distance(b, a))
-        assert cosine_distance(a, b) == pytest.approx(cosine_distance(b, a))
+        ab, ba = distances_of(a, b), distances_of(b, a)
+        assert ab.euclidean[0, 1] == pytest.approx(ba.euclidean[0, 1])
+        assert ab.cosine[0, 1] == pytest.approx(ba.cosine[0, 1])
 
 
 def test_cosine_scale_invariance():
@@ -70,18 +79,18 @@ def test_cosine_scale_invariance():
         a = rng.standard_normal(6)
         b = rng.standard_normal(6)
         alpha, beta = rng.uniform(0.01, 100, size=2)
-        assert cosine_distance(alpha * a, beta * b) == pytest.approx(
-            cosine_distance(a, b), abs=1e-9)
+        assert distances_of(alpha * a, beta * b).cosine[0, 1] == pytest.approx(
+            distances_of(a, b).cosine[0, 1], abs=1e-9)
 
 
 def test_pairwise_identical_updates():
-    dp = pairwise_distances(updates_of([[1.0, 2.0], [1.0, 2.0]]))
+    dp = pairwise_distances(stack_updates(updates_of([[1.0, 2.0], [1.0, 2.0]]))[1])
     assert np.all(dp.euclidean == 0.0)
     assert np.all(dp.cosine == 0.0)
 
 
 def test_pairwise_three_scalar_clients():
-    dp = pairwise_distances(updates_of([0.0, 1.0, 3.0]))
+    dp = pairwise_distances(stack_updates(updates_of([0.0, 1.0, 3.0]))[1])
     expected = np.array([[0, 1, 3], [1, 0, 2], [3, 2, 0]], dtype=float)
     np.testing.assert_allclose(dp.euclidean, expected)
 
@@ -91,7 +100,7 @@ def test_pairwise_matrix_invariants_random():
     for _ in range(20):
         n = rng.integers(2, 8)
         ups = updates_of(rng.standard_normal((n, 5)))
-        dp = pairwise_distances(ups)
+        dp = pairwise_distances(stack_updates(ups)[1])
         for m in (dp.euclidean, dp.cosine):
             np.testing.assert_allclose(m, m.T)
             assert np.all(np.diag(m) == 0.0)
@@ -101,13 +110,13 @@ def test_pairwise_matrix_invariants_random():
 
 def test_pairwise_needs_two_updates():
     with pytest.raises(ConfigError):
-        pairwise_distances(updates_of([[1.0, 2.0]]))
+        pairwise_distances(stack_updates(updates_of([[1.0, 2.0]]))[1])
 
 
 def test_pairwise_rejects_duplicate_ids():
     ups = [ClientUpdate(0, vec(1.0)), ClientUpdate(0, vec(2.0))]
     with pytest.raises(ConfigError):
-        pairwise_distances(ups)
+        pairwise_distances(stack_updates(ups)[1])
 
 
 def test_softmax_constant_scores_uniform():
@@ -148,18 +157,18 @@ def test_softmax_rejects_nonfinite():
 
 def test_weighted_average_identical_updates():
     ups = updates_of([[2.0, -1.0]] * 3)
-    np.testing.assert_allclose(weighted_average(ups, [0.2, 0.5, 0.3]), [2.0, -1.0])
+    np.testing.assert_allclose(weighted_average(stack_updates(ups)[1], [0.2, 0.5, 0.3]), [2.0, -1.0])
 
 
 def test_weighted_average_scalar_examples():
     ups = updates_of([0.0, 10.0])
-    assert weighted_average(ups, [0.5, 0.5])[0] == pytest.approx(5.0)
-    assert weighted_average(ups, [0.9, 0.1])[0] == pytest.approx(1.0)
+    assert weighted_average(stack_updates(ups)[1], [0.5, 0.5])[0] == pytest.approx(5.0)
+    assert weighted_average(stack_updates(ups)[1], [0.9, 0.1])[0] == pytest.approx(1.0)
 
 
 def test_weighted_average_length_mismatch():
     with pytest.raises(DimensionError):
-        weighted_average(updates_of([0.0, 1.0]), [1.0])
+        weighted_average(stack_updates(updates_of([0.0, 1.0]))[1], [1.0])
 
 
 def test_weighted_average_convex_hull():
@@ -168,7 +177,7 @@ def test_weighted_average_convex_hull():
         mat = rng.standard_normal((5, 4))
         ups = updates_of(mat)
         w = softmax_weights(rng.uniform(0, 3, 5))
-        avg = weighted_average(ups, w)
+        avg = weighted_average(stack_updates(ups)[1], w)
         assert np.all(avg >= mat.min(axis=0) - 1e-12)
         assert np.all(avg <= mat.max(axis=0) + 1e-12)
 
@@ -178,8 +187,8 @@ def test_weighted_average_permutation_equivariant():
     mat = rng.standard_normal((6, 3))
     w = softmax_weights(rng.uniform(0, 2, 6))
     ups = updates_of(mat)
-    base = weighted_average(ups, w)
+    base = weighted_average(stack_updates(ups)[1], w)
     # shuffling the update sequence must not matter: weights follow client id
     perm = rng.permutation(6)
     shuffled = [ups[i] for i in perm]
-    np.testing.assert_allclose(weighted_average(shuffled, w), base)
+    np.testing.assert_allclose(weighted_average(stack_updates(shuffled)[1], w), base)
