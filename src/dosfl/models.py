@@ -3,6 +3,9 @@
 Two architectures: plain multinomial logistic regression and a one-hidden-
 layer ReLU perceptron.  Parameters live in a single flat float64 vector so
 aggregation rules never see layer structure; pack order is W1, b1, (W2, b2).
+``loss_and_grad`` takes a (k, P) stack of such vectors, one per client, with
+a batch per row, and applies the single-model op sequence along that leading
+axis; each row's gradient is bitwise the single-model one.
 """
 
 from __future__ import annotations
@@ -56,13 +59,15 @@ def init_params(spec: ModelSpec, rng: np.random.Generator) -> np.ndarray:
 
 
 def unpack(spec: ModelSpec, flat: np.ndarray) -> list[np.ndarray]:
-    if flat.size != spec.param_count:
-        raise DimensionError(f"expected {spec.param_count} parameters, got {flat.size}")
+    """Layer views of a flat (P,) vector, or of a (..., P) stack with its leading axes kept."""
+    if flat.shape[-1:] != (spec.param_count,):
+        raise DimensionError(f"expected {spec.param_count} parameters, got shape {flat.shape}")
+    lead = flat.shape[:-1]
     out = []
     at = 0
     for shape in spec.layer_shapes():
         size = int(np.prod(shape))
-        out.append(flat[at:at + size].reshape(shape))
+        out.append(flat[..., at:at + size].reshape(*lead, *shape))
         at += size
     return out
 
@@ -81,40 +86,56 @@ def predict_proba(spec: ModelSpec, flat: np.ndarray, features: np.ndarray) -> np
 
 
 def loss_and_grad(spec: ModelSpec, flat: np.ndarray, features: np.ndarray,
-                  labels: np.ndarray) -> tuple[float, np.ndarray]:
-    """Mean softmax cross-entropy over the batch and its flat gradient."""
-    m = features.shape[0]
+                  labels: np.ndarray) -> tuple[np.ndarray | float, np.ndarray]:
+    """Mean softmax cross-entropy per model and its flat gradient.
+
+    ``flat`` is (k, P), ``features`` (k, b, q) and ``labels`` (k, b): k models,
+    each scored on its own batch of b samples.  Returns the (k,) losses and the
+    (k, P) gradients.  A single model may pass (P,), (b, q) and (b,) and gets
+    a float and a (P,) gradient back.  Every product is a per-model matmul
+    (``X @ W.transpose(0, 2, 1)``, never ``(W @ X^T)^T``), so row i is bitwise
+    what the same op sequence gives on model i alone.
+    """
+    single = flat.ndim == 1
+    if single:
+        flat, features, labels = flat[None], features[None], labels[None]
+    k, m = labels.shape
     if spec.kind == "logistic":
         w, b = unpack(spec, flat)
-        loss, probs = _ce_loss(features @ w.T + b, labels)
-        delta = probs
-        delta[np.arange(m), labels] -= 1.0
-        delta /= m
-        grad = np.concatenate([(delta.T @ features).ravel(), delta.sum(axis=0)])
+        loss, probs = _ce_loss(features @ w.transpose(0, 2, 1) + b[:, None], labels)
+        delta = _output_delta(probs, labels)
+        grads = [delta.transpose(0, 2, 1) @ features, delta.sum(axis=1)]
     else:
         w1, b1, w2, b2 = unpack(spec, flat)
-        pre = features @ w1.T + b1
+        pre = features @ w1.transpose(0, 2, 1) + b1[:, None]
         hidden = np.maximum(pre, 0.0)
-        loss, probs = _ce_loss(hidden @ w2.T + b2, labels)
-        delta = probs
-        delta[np.arange(m), labels] -= 1.0
-        delta /= m
+        loss, probs = _ce_loss(hidden @ w2.transpose(0, 2, 1) + b2[:, None], labels)
+        delta = _output_delta(probs, labels)
         d_hidden = (delta @ w2) * (pre > 0.0)
-        grad = np.concatenate([
-            (d_hidden.T @ features).ravel(),
-            d_hidden.sum(axis=0),
-            (delta.T @ hidden).ravel(),
-            delta.sum(axis=0),
-        ])
+        grads = [d_hidden.transpose(0, 2, 1) @ features, d_hidden.sum(axis=1),
+                 delta.transpose(0, 2, 1) @ hidden, delta.sum(axis=1)]
+    grad = np.concatenate([g.reshape(k, -1) for g in grads], axis=1)
+    if single:
+        return float(loss[0]), grad[0]
     return loss, grad
 
 
-def _ce_loss(logits: np.ndarray, labels: np.ndarray) -> tuple[float, np.ndarray]:
-    """Mean cross-entropy via log-softmax (no clipping) plus the probabilities."""
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    log_norm = np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+def _output_delta(probs: np.ndarray, labels: np.ndarray) -> np.ndarray:
+    """d(mean loss)/d(logits): (probs - onehot) / batch size, in place on ``probs``."""
+    k, m = labels.shape
+    probs[np.arange(k)[:, None], np.arange(m), labels] -= 1.0
+    probs /= m
+    return probs
+
+
+def _ce_loss(logits: np.ndarray, labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per-model mean cross-entropy via log-softmax (no clipping) plus the
+    probabilities; ``logits`` is (k, b, c) and ``labels`` (k, b)."""
+    k, m = labels.shape
+    shifted = logits - logits.max(axis=2, keepdims=True)
+    log_norm = np.log(np.exp(shifted).sum(axis=2, keepdims=True))
     log_probs = shifted - log_norm
-    loss = -float(np.mean(log_probs[np.arange(logits.shape[0]), labels]))
+    loss = -log_probs[np.arange(k)[:, None], np.arange(m), labels].mean(axis=1)
     return loss, np.exp(log_probs)
 
 

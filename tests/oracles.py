@@ -110,3 +110,20 @@ def krum_select_oracle(rows, f):
         if best_score is None or score < best_score:
             best, best_score = i, score
     return best
+
+
+def mann_whitney_auc_oracle(scores, positive):
+    """Share of (positive, negative) pairs the positive outscores, ties
+    counting 0.5; None if either side is empty."""
+    pos = [float(s) for s, p in zip(scores, positive, strict=True) if p]
+    neg = [float(s) for s, p in zip(scores, positive, strict=True) if not p]
+    if not pos or not neg:
+        return None
+    wins = 0.0
+    for x in pos:
+        for y in neg:
+            if x > y:
+                wins += 1.0
+            elif x == y:
+                wins += 0.5
+    return wins / (len(pos) * len(neg))

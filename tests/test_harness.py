@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from dosfl import harness
 from dosfl.aggregators import AggregatorSpec
 from dosfl.attacks import AttackPlan, GaussianNoise, LabelFlip, Scale
 from dosfl.data import (
@@ -21,11 +22,57 @@ from dosfl.harness import (
     run_experiment,
     seed_stream,
 )
-from dosfl.models import ModelSpec, init_params, loss_and_grad
+from dosfl.models import ModelSpec, init_params, loss_and_grad, predict_proba
+
+from .oracles import mann_whitney_auc_oracle
 
 
 def rng_of(seed):
     return np.random.default_rng(seed)
+
+
+def reference_local_train(spec, params, data, cfg, rng):
+    """One client's seeded mini-batch SGD as a plain loop over its batches,
+    with the single-model products written out in 2-D numpy; the batched
+    trainer must give this bit for bit."""
+    theta = params.copy()
+    m = len(data)
+    for _ in range(cfg.local_steps):
+        order = rng.permutation(m)
+        for start in range(0, m, cfg.batch_size):
+            batch = order[start:start + cfg.batch_size]
+            theta -= cfg.learning_rate * _reference_grad(spec, theta, data.features[batch],
+                                                         data.labels[batch])
+    return theta
+
+
+def _reference_grad(spec, flat, features, labels):
+    layers, at = [], 0
+    for shape in spec.layer_shapes():
+        size = int(np.prod(shape))
+        layers.append(flat[at:at + size].reshape(shape))
+        at += size
+    m = features.shape[0]
+
+    def output_delta(logits):
+        shifted = logits - logits.max(axis=1, keepdims=True)
+        log_probs = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+        delta = np.exp(log_probs)
+        delta[np.arange(m), labels] -= 1.0
+        delta /= m
+        return delta
+
+    if spec.kind == "logistic":
+        w, b = layers
+        delta = output_delta(features @ w.T + b)
+        return np.concatenate([(delta.T @ features).ravel(), delta.sum(axis=0)])
+    w1, b1, w2, b2 = layers
+    pre = features @ w1.T + b1
+    hidden = np.maximum(pre, 0.0)
+    delta = output_delta(hidden @ w2.T + b2)
+    d_hidden = (delta @ w2) * (pre > 0.0)
+    return np.concatenate([(d_hidden.T @ features).ravel(), d_hidden.sum(axis=0),
+                           (delta.T @ hidden).ravel(), delta.sum(axis=0)])
 
 
 # ---------------------------------------------------------------------------
@@ -44,7 +91,7 @@ def _train_logistic(train, test, epochs=20, lr=0.1):
                      class_count=train.class_count)
     params = init_params(spec, rng_of(0))
     cfg = TrainConfig(learning_rate=lr, local_steps=epochs, batch_size=len(train), rounds=1)
-    params = local_train(spec, params, train, cfg, rng_of(1))
+    params = local_train(spec, params, [train], cfg, [rng_of(1)])[0]
     return evaluate(spec, params, test).accuracy
 
 
@@ -118,9 +165,10 @@ def test_local_train_zero_lr_is_identity():
     spec = ModelSpec()
     params = init_params(spec, rng_of(15))
     ds = generate_synthetic(4, 20, 10, 6.0, rng_of(16))
+    shards = partition_label_skew(ds, 3, 0.5, rng_of(18))
     cfg = TrainConfig(learning_rate=0.0, local_steps=3, batch_size=8, rounds=1)
-    out = local_train(spec, params, ds, cfg, rng_of(17))
-    np.testing.assert_array_equal(out, params)
+    out = local_train(spec, params, shards, cfg, [rng_of(17 + i) for i in range(3)])
+    np.testing.assert_array_equal(out, np.tile(params, (3, 1)))
 
 
 def test_local_train_reduces_loss():
@@ -129,9 +177,71 @@ def test_local_train_reduces_loss():
     params = init_params(spec, rng_of(19))
     before, _ = loss_and_grad(spec, params, ds.features, ds.labels)
     cfg = TrainConfig(learning_rate=0.01, local_steps=1, batch_size=16, rounds=1)
-    after_params = local_train(spec, params, ds, cfg, rng_of(20))
+    after_params = local_train(spec, params, [ds], cfg, [rng_of(20)])[0]
     after, _ = loss_and_grad(spec, after_params, ds.features, ds.labels)
     assert after <= before
+
+
+def _training_case(kind, partition, clients):
+    spec = ModelSpec(kind=kind, input_dim=5, class_count=3, hidden_dim=6)
+    ds = generate_synthetic(3, 5, 30, 3.0, rng_of(30))
+    if partition == "iid":
+        shards = partition_iid(ds, clients, rng_of(31))
+    else:
+        shards = partition_label_skew(ds, clients, 0.5, rng_of(31))
+    return spec, init_params(spec, rng_of(32)), shards
+
+
+def _assert_matches_reference(spec, params, shards, cfg):
+    out = local_train(spec, params, shards, cfg, [rng_of(40 + i) for i in range(len(shards))])
+    assert out.shape == (len(shards), spec.param_count)
+    for i, shard in enumerate(shards):
+        ref = reference_local_train(spec, params, shard, cfg, rng_of(40 + i))
+        np.testing.assert_array_equal(out[i], ref)
+
+
+@pytest.mark.parametrize("kind", ["logistic", "mlp1"])
+@pytest.mark.parametrize("partition", ["iid", "label_skew"])
+@pytest.mark.parametrize("local_steps,batch_size", [(1, 8), (2, 7), (1, 1000)])
+def test_batched_training_matches_per_client_loop(kind, partition, local_steps, batch_size):
+    # 90 samples over 6 clients: 8 and 7 do not divide the iid shards of 15,
+    # 1000 exceeds every shard; label skew makes the shards ragged.
+    spec, params, shards = _training_case(kind, partition, 6)
+    if partition == "label_skew":
+        assert len({len(s) for s in shards}) > 1
+    cfg = TrainConfig(learning_rate=0.3, local_steps=local_steps, batch_size=batch_size,
+                      rounds=1)
+    _assert_matches_reference(spec, params, shards, cfg)
+
+
+@pytest.mark.parametrize("kind", ["logistic", "mlp1"])
+def test_batched_training_single_client(kind):
+    spec, params, shards = _training_case(kind, "iid", 1)
+    cfg = TrainConfig(learning_rate=0.3, local_steps=2, batch_size=7, rounds=1)
+    _assert_matches_reference(spec, params, shards, cfg)
+
+
+def test_chunk_budget_does_not_change_arithmetic(monkeypatch):
+    spec, params, shards = _training_case("mlp1", "label_skew", 6)
+    cfg = TrainConfig(learning_rate=0.3, local_steps=2, batch_size=7, rounds=1)
+
+    def train():
+        return local_train(spec, params, shards, cfg, [rng_of(50 + i) for i in range(6)])
+
+    default = train()
+    monkeypatch.setattr(harness, "TRAIN_CHUNK_BYTES", params.nbytes)  # one row per chunk
+    one_row = train()
+    monkeypatch.setattr(harness, "TRAIN_CHUNK_BYTES", 6 * params.nbytes)  # all rows at once
+    all_rows = train()
+    np.testing.assert_array_equal(one_row, default)
+    np.testing.assert_array_equal(all_rows, default)
+
+
+def test_local_train_rejects_wrong_param_count():
+    spec, params, shards = _training_case("logistic", "iid", 2)
+    cfg = TrainConfig(batch_size=8, rounds=1)
+    with pytest.raises(ConfigError, match="entries"):
+        local_train(spec, params[:-1], shards, cfg, [rng_of(0), rng_of(1)])
 
 
 def _fd_max_rel_err(spec, params, feats, labels, step=1e-5):
@@ -218,6 +328,46 @@ def test_absent_class_is_flagged_and_excluded():
     assert 0.0 <= m.macro_auc <= 1.0 and 0.0 <= m.pairwise_auc <= 1.0
 
 
+def _oracle_metrics(proba, labels, c):
+    """Macro and pairwise AUC averaged as ``evaluate`` averages them, from
+    pair-counting AUCs."""
+    per_class = [mann_whitney_auc_oracle(proba[:, k], labels == k) for k in range(c)]
+    per_pair = []
+    for i in range(c):
+        for j in range(i + 1, c):
+            mask = (labels == i) | (labels == j)
+            a_ij = mann_whitney_auc_oracle(proba[mask, i], labels[mask] == i)
+            a_ji = mann_whitney_auc_oracle(proba[mask, j], labels[mask] == j)
+            if a_ij is not None and a_ji is not None:
+                per_pair.append((a_ij + a_ji) / 2.0)
+    return (float(np.mean([a for a in per_class if a is not None])),
+            float(np.mean(per_pair)))
+
+
+@pytest.mark.parametrize("case", ["ties", "constant", "absent_class"])
+def test_evaluate_auc_equals_pair_counting_oracle(case):
+    rng = rng_of(60)
+    c = 4
+    for _ in range(20):
+        spec = ModelSpec(kind="logistic", input_dim=2, class_count=c)
+        params = init_params(spec, rng) * 3.0
+        # features on a 3 x 3 grid: many samples share a score, so ties abound
+        feats = rng.integers(0, 3, size=(40, 2)).astype(float)
+        labels = rng.integers(0, c, size=40)
+        if case == "constant":
+            params = np.zeros(spec.param_count)
+        elif case == "absent_class":
+            labels = np.where(labels == 2, 0, labels)
+        labels[:2] = [0, 1]  # at least two classes present
+        test = LabeledDataset(features=feats, labels=labels, class_count=c)
+        m = evaluate(spec, params, test)
+        macro, pairwise = _oracle_metrics(predict_proba(spec, params, feats), labels, c)
+        assert m.macro_auc == macro
+        assert m.pairwise_auc == pairwise
+        if case == "constant":
+            assert macro == pairwise == 0.5
+
+
 def test_random_scores_near_half_auc():
     spec = ModelSpec(kind="logistic", input_dim=5, class_count=2)
     rng = rng_of(28)
@@ -274,20 +424,27 @@ def test_median_records_no_weights():
 
 
 def test_seed_isolation_of_honest_training():
-    base = small_setup()
-    attacked = small_setup(plan=AttackPlan(assignments={3: GaussianNoise(1.0)}))
-    # same master seed: the honest round-0 outputs of clients 0..2 must agree
+    # Ragged label-skew shards, so clients fall into different batch-size
+    # groups in the full batch and train alone in a group of one.
+    base = small_setup(partition="label_skew")
+    flipped = small_setup(partition="label_skew",
+                          plan=AttackPlan(assignments={3: LabelFlip(source=2, target=0)}))
     shards_a, _ = prepare_shards(base)
-    shards_b, _ = prepare_shards(attacked)
-    theta_a = init_params(base.model, seed_stream(base.seed, "init"))
-    theta_b = init_params(attacked.model, seed_stream(attacked.seed, "init"))
-    np.testing.assert_array_equal(theta_a, theta_b)
+    shards_b, _ = prepare_shards(flipped)
+    assert len({len(s) for s in shards_a}) > 1
+    assert not np.array_equal(shards_a[3].labels, shards_b[3].labels)
+    theta = init_params(base.model, seed_stream(base.seed, "init"))
+
+    def streams(cids):
+        return [seed_stream(base.seed, "train", cid, 0) for cid in cids]
+
+    full_a = local_train(base.model, theta, shards_a, base.train, streams(range(4)))
+    full_b = local_train(base.model, theta, shards_b, base.train, streams(range(4)))
     for cid in range(3):
-        out_a = local_train(base.model, theta_a, shards_a[cid], base.train,
-                            seed_stream(base.seed, "train", cid, 0))
-        out_b = local_train(attacked.model, theta_b, shards_b[cid], attacked.train,
-                            seed_stream(attacked.seed, "train", cid, 0))
-        np.testing.assert_array_equal(out_a, out_b)
+        alone = local_train(base.model, theta, [shards_a[cid]], base.train, streams([cid]))
+        np.testing.assert_array_equal(full_a[cid], alone[0])
+        np.testing.assert_array_equal(full_b[cid], alone[0])
+    assert not np.array_equal(full_a[3], full_b[3])
 
 
 def test_label_flip_poisons_training_data():
