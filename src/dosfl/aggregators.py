@@ -45,13 +45,33 @@ class AggregatorSpec:
             raise ConfigError(
                 f"unknown aggregator {self.kind!r}; valid: {', '.join(AGGREGATOR_KINDS)}"
             )
-        if not 0.0 <= self.trim_fraction < 0.5:
-            raise ConfigError(f"trim_fraction must be in [0, 0.5), got {self.trim_fraction}")
+        check_trim_fraction(self.trim_fraction)
         if self.krum_f is not None and self.krum_f < 0:
             raise ConfigError(f"krum_f must be >= 0, got {self.krum_f}")
 
     def resolve_krum_f(self, n: int) -> int:
         return self.krum_f if self.krum_f is not None else math.ceil(0.4 * n)
+
+
+def check_trim_fraction(trim_fraction: float) -> None:
+    if not 0.0 <= trim_fraction < 0.5:
+        raise ConfigError(f"trim_fraction must be in [0, 0.5), got {trim_fraction}")
+
+
+def trim_count(trim_fraction: float, n: int) -> int:
+    """Values the trimmed mean drops from each end of n; at least one must remain."""
+    check_trim_fraction(trim_fraction)
+    k = math.floor(trim_fraction * n)
+    if n - 2 * k < 1:
+        raise ConfigError(f"trimming {k} per end leaves no values out of {n}")
+    return k
+
+
+def krum_neighbors(n: int, f: int) -> int:
+    """Neighbours Krum sums over for each of n updates with byzantine bound f."""
+    if f < 0 or n - f - 2 < 1:
+        raise ConfigError(f"krum needs f >= 0 and n - f - 2 >= 1, got n={n}, f={f}")
+    return n - f - 2
 
 
 @dataclass(frozen=True)
@@ -98,33 +118,31 @@ def aggregate_trimmed_mean(updates, trim_fraction: float) -> AggregationResult:
     values and average the rest."""
     _, mat = stack_updates(updates)
     n = mat.shape[0]
-    if not 0.0 <= trim_fraction < 0.5:
-        raise ConfigError(f"trim_fraction must be in [0, 0.5), got {trim_fraction}")
-    k = int(math.floor(trim_fraction * n))
-    if n - 2 * k < 1:
-        raise ConfigError(f"trimming {k} per end leaves no values out of {n}")
+    k = trim_count(trim_fraction, n)
     ordered = np.sort(mat, axis=0)
     kept = ordered[k : n - k] if k > 0 else ordered
     return AggregationResult(new_global=kept.mean(axis=0), weights=None)
 
 
-def aggregate_krum(updates, f: int) -> AggregationResult:
-    """Select the update with the smallest sum of squared distances to its
-    n - f - 2 nearest other updates; ties break to the lowest client id.
+def krum_select(mat: np.ndarray, f: int) -> int:
+    """Row of an (n, d) matrix with the smallest sum of squared distances to
+    its n - f - 2 nearest other rows; ties break to the lowest row.
 
     The squared distances come from ``pdist``, so memory is O(n^2 + n*d):
     no (n, n, d) difference tensor is built.
     """
-    _, mat = stack_updates(updates)
-    n = mat.shape[0]
-    neighbors = n - f - 2
-    if f < 0 or neighbors < 1:
-        raise ConfigError(f"krum needs n - f - 2 >= 1, got n={n}, f={f}")
+    neighbors = krum_neighbors(mat.shape[0], f)
     sq = squareform(pdist(mat, "sqeuclidean"))
     np.fill_diagonal(sq, np.inf)  # a row is not its own neighbour
     scores = np.sort(sq, axis=1)[:, :neighbors].sum(axis=1)
-    pick = int(np.argmin(scores))  # argmin takes the first minimum: lowest id
-    weights = np.zeros(n)
+    return int(np.argmin(scores))  # argmin takes the first minimum: lowest row
+
+
+def aggregate_krum(updates, f: int) -> AggregationResult:
+    """Select one update with :func:`krum_select`, in client-id order."""
+    _, mat = stack_updates(updates)
+    pick = krum_select(mat, f)
+    weights = np.zeros(mat.shape[0])
     weights[pick] = 1.0
     return AggregationResult(new_global=mat[pick].copy(), weights=weights)
 
@@ -140,6 +158,4 @@ def run_rule(spec: AggregatorSpec, updates) -> AggregationResult:
         return aggregate_median(updates)
     if spec.kind == "trimmed_mean":
         return aggregate_trimmed_mean(updates, spec.trim_fraction)
-    if spec.kind == "krum":
-        return aggregate_krum(updates, spec.resolve_krum_f(len(updates)))
-    raise ConfigError(f"unknown aggregator {spec.kind!r}")
+    return aggregate_krum(updates, spec.resolve_krum_f(len(updates)))  # the spec admits no other kind

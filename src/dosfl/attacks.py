@@ -13,7 +13,7 @@ from typing import Callable, Union
 
 import numpy as np
 
-from .aggregators import aggregate_krum
+from .aggregators import krum_select
 from .data import LabeledDataset
 from .errors import ConfigError
 from .params import ClientUpdate, as_parameter_vector
@@ -72,7 +72,8 @@ class Crafted:
 
 AttackKind = Union[GaussianNoise, Scale, LabelFlip, Crafted]
 
-_KIND_NAMES = {GaussianNoise: "noise", Scale: "scale", LabelFlip: "label_flip", Crafted: "crafted"}
+ATTACK_KINDS = {"noise": GaussianNoise, "scale": Scale, "label_flip": LabelFlip, "crafted": Crafted}
+_KIND_NAMES = {cls: name for name, cls in ATTACK_KINDS.items()}
 
 
 def kind_name(kind: AttackKind | None) -> str:
@@ -101,65 +102,52 @@ class AttackPlan:
         return [(i, k) for i, k in sorted(self.assignments.items()) if isinstance(k, LabelFlip)]
 
 
-def attack_gaussian_noise(honest: np.ndarray, sigma: float,
+def attack_gaussian_noise(honest: np.ndarray, kind: GaussianNoise,
                           rng: np.random.Generator) -> np.ndarray:
     """Pure-noise replacement: the honest parameters only set the dimension."""
-    if sigma <= 0:
-        raise ConfigError(f"noise sigma must be > 0, got {sigma}")
     honest = as_parameter_vector(honest)
-    return sigma * rng.standard_normal(honest.size)
+    return kind.sigma * rng.standard_normal(honest.size)
 
 
-def attack_scale(honest: np.ndarray, factor: float) -> np.ndarray:
-    if factor == 0:
-        raise ConfigError("scale factor must be nonzero")
-    return factor * as_parameter_vector(honest)
+def attack_scale(honest: np.ndarray, kind: Scale) -> np.ndarray:
+    return kind.factor * as_parameter_vector(honest)
 
 
-def attack_label_flip(dataset: LabeledDataset, source_class: int, target_class: int,
-                      flip_fraction: float, rng: np.random.Generator) -> LabeledDataset:
-    """Relabel a rounded ``flip_fraction`` share of source-class samples.
+def attack_label_flip(dataset: LabeledDataset, kind: LabelFlip,
+                      rng: np.random.Generator) -> LabeledDataset:
+    """Relabel a rounded ``kind.fraction`` share of source-class samples.
 
     Features are untouched; the flipped subset is chosen by ``rng``.
     """
-    if source_class == target_class:
-        raise ConfigError("label flip needs source != target")
-    if not 0.0 < flip_fraction <= 1.0:
-        raise ConfigError(f"flip fraction must be in (0, 1], got {flip_fraction}")
-    for cls in (source_class, target_class):
+    for cls in (kind.source, kind.target):
         if not 0 <= cls < dataset.class_count:
             raise ConfigError(f"class {cls} outside label alphabet [0, {dataset.class_count})")
-    members = np.flatnonzero(dataset.labels == source_class)
+    members = np.flatnonzero(dataset.labels == kind.source)
     if members.size == 0:
-        raise ConfigError(f"source class {source_class} absent from dataset")
-    count = int(np.floor(flip_fraction * members.size + 0.5))
+        raise ConfigError(f"source class {kind.source} absent from dataset")
+    count = int(np.floor(kind.fraction * members.size + 0.5))
     chosen = rng.choice(members, size=count, replace=False)
     labels = dataset.labels.copy()
-    labels[chosen] = target_class
+    labels[chosen] = kind.target
     return LabeledDataset(features=dataset.features, labels=labels,
                           class_count=dataset.class_count)
 
 
 def local_krum_oracle(vectors: list[np.ndarray]) -> int:
     """Krum over the attacker's local view, assuming the largest valid
-    byzantine count (len - 3)."""
-    n = len(vectors)
-    if n < 3:
-        raise ConfigError(f"local Krum simulation needs >= 3 vectors, got {n}")
-    updates = [ClientUpdate(i, v) for i, v in enumerate(vectors)]
-    result = aggregate_krum(updates, n - 3)
-    return int(np.argmax(result.weights))
+    byzantine count (len - 3); the vectors are already validated."""
+    return krum_select(np.stack(vectors), len(vectors) - 3)
 
 
-def attack_crafted(global_prev: np.ndarray, honest_updates_of_malicious, lambda_init: float,
-                   halving_steps: int, krum_oracle: Callable[[list[np.ndarray]], int] | None,
+def attack_crafted(global_prev: np.ndarray, honest_updates_of_malicious, kind: Crafted,
+                   krum_oracle: Callable[[list[np.ndarray]], int] | None,
                    rngs) -> list[np.ndarray]:
     """Directed-deviation attack shared by all colluding clients.
 
     Estimates the benign direction from the colluders' own honest training
     results, then walks the previous global model against it:
     c(lam) = global_prev - lam * sign(mean(honest) - global_prev).  The largest
-    lam from {lambda_init * 2^-k} whose crafted point wins the local Krum
+    lam from {kind.lambda_init * 2^-k} whose crafted point wins the local Krum
     simulation is kept (smallest candidate if none wins, or if no oracle is
     available).  Each colluder transmits c(lam) plus Normal(0, (0.01*lam)^2)
     jitter so the copies are not exact duplicates.
@@ -169,14 +157,10 @@ def attack_crafted(global_prev: np.ndarray, honest_updates_of_malicious, lambda_
         raise ConfigError("crafted attack needs at least one colluder's honest update")
     if len(rngs) != len(honest):
         raise ConfigError(f"{len(honest)} colluders but {len(rngs)} rng streams")
-    if lambda_init <= 0:
-        raise ConfigError(f"lambda_init must be > 0, got {lambda_init}")
-    if halving_steps < 0:
-        raise ConfigError(f"halving_steps must be >= 0, got {halving_steps}")
     global_prev = as_parameter_vector(global_prev)
 
     direction = np.sign(np.mean(honest, axis=0) - global_prev)
-    candidates = [lambda_init * 2.0 ** -k for k in range(halving_steps + 1)]
+    candidates = [kind.lambda_init * 2.0 ** -k for k in range(kind.halving_steps + 1)]
     lam = candidates[-1]
     if krum_oracle is not None:
         for cand in candidates:
@@ -213,10 +197,10 @@ def apply_attack_plan(plan: AttackPlan, round_outputs: dict[int, np.ndarray],
     for cid in sorted(round_outputs):
         kind = plan.kind_for(cid)
         if isinstance(kind, GaussianNoise):
-            transmitted[cid] = attack_gaussian_noise(round_outputs[cid], kind.sigma,
+            transmitted[cid] = attack_gaussian_noise(round_outputs[cid], kind,
                                                      context.rng_for(cid))
         elif isinstance(kind, Scale):
-            transmitted[cid] = attack_scale(round_outputs[cid], kind.factor)
+            transmitted[cid] = attack_scale(round_outputs[cid], kind)
         elif isinstance(kind, Crafted):
             crafted_groups.setdefault(kind, []).append(cid)
         else:  # honest or label-flip
@@ -231,8 +215,7 @@ def apply_attack_plan(plan: AttackPlan, round_outputs: dict[int, np.ndarray],
         vectors = attack_crafted(
             context.global_prev,
             [round_outputs[cid] for cid in members],
-            kind.lambda_init,
-            kind.halving_steps,
+            kind,
             oracle,
             [context.rng_for(cid) for cid in members],
         )

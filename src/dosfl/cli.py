@@ -17,18 +17,14 @@ import json
 import os
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
-from .aggregators import AGGREGATOR_KINDS, AggregatorSpec
-from .config import (
-    SCENARIOS,
-    ExperimentConfig,
-    make_noise_plan,
-    parse_config_file,
-    with_overrides,
-)
+from .aggregators import AGGREGATOR_KINDS
+from .attacks import GaussianNoise
+from .config import ExperimentConfig, expand_groups, parse_config_file, with_overrides
 from .copod import copod_scores
 from .errors import ConfigError, DosflError
 from .harness import RoundRecord, run_experiment
@@ -121,68 +117,34 @@ def cmd_run(args) -> int:
 def cmd_compare(args) -> int:
     cfg = _load_config(args)
     names = _split_list(args.aggregators, "--aggregators")
-    for name in names:
-        if name not in AGGREGATOR_KINDS:
-            raise ConfigError(f"unknown aggregator {name!r}; valid: "
-                              f"{', '.join(AGGREGATOR_KINDS)}")
-    if args.scenarios is None:
-        scenarios = [cfg.attack]
-    else:
-        scenarios = _split_list(args.scenarios, "--scenarios")
-        for s in scenarios:
-            if s != "custom" and s not in SCENARIOS:
-                raise ConfigError(f"unknown scenario {s!r}; valid: "
-                                  f"{', '.join(sorted(SCENARIOS))}")
-
-    out = Path(cfg.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    rows = []
-    for name in names:
-        for scenario in scenarios:
-            spec = AggregatorSpec(kind=name, trim_fraction=cfg.aggregator.trim_fraction,
-                                  krum_f=cfg.aggregator.krum_f)
-            run_cfg = with_overrides(cfg, aggregator=spec, attack=scenario)
-            records = run_experiment(run_cfg.to_setup())
-            rows.append((name, scenario, _avg_metric(records), _final_metric(records)))
-    _write_csv(out / "compare.csv", ("aggregator", "scenario", "avg_metric", "final_metric"),
-               [(a, s, _fmt(avg), _fmt(fin)) for a, s, avg, fin in rows])
+    scenarios = ([cfg.attack] if args.scenarios is None
+                 else _split_list(args.scenarios, "--scenarios"))
+    # every run's setup is built, and so validated, before any run starts
+    runs = [(name, scenario, replace(cfg, aggregator=replace(cfg.aggregator, kind=name),
+                                     attack=scenario).to_setup())
+            for name in names for scenario in scenarios]
+    _write_grid(Path(cfg.output_dir) / "compare.csv", ("aggregator", "scenario"), runs)
     return 0
 
 
 def cmd_sweep(args) -> int:
     cfg = _load_config(args)
-    out = Path(cfg.output_dir)
-    rows = []
     if args.param == "malicious_fraction":
         values = ([float(v) for v in _split_list(args.values, "--values")]
                   if args.values is not None else list(SWEEP_FRACTIONS))
-        for frac in values:
-            if not 0.0 <= frac < 1.0:
-                raise ConfigError(f"malicious fraction must be in [0, 1), got {frac}")
-            plan = make_noise_plan(cfg.clients, frac)
-            records = run_experiment(cfg.to_setup(plan=plan))
-            rows.append((_fmt(frac), _avg_metric(records), _final_metric(records)))
+        runs = [(args.param, _fmt(frac),
+                 cfg.to_setup(plan=expand_groups([(GaussianNoise(), frac)], cfg.clients)))
+                for frac in values]
     else:
         values = ([int(v) for v in _split_list(args.values, "--values")]
                   if args.values is not None else list(SWEEP_CLIENT_COUNTS))
-        for n in values:
-            if n < 2:
-                raise ConfigError(f"client count must be >= 2, got {n}")
-            run_cfg = with_overrides(cfg, clients=n)
-            records = run_experiment(run_cfg.to_setup())
-            rows.append((str(n), _avg_metric(records), _final_metric(records)))
-
-    out.mkdir(parents=True, exist_ok=True)
-    _write_csv(out / "sweep.csv", ("sweep_param", "value", "avg_metric", "final_metric"),
-               [(args.param, v, _fmt(avg), _fmt(fin)) for v, avg, fin in rows])
+        runs = [(args.param, str(n), replace(cfg, clients=n).to_setup()) for n in values]
+    _write_grid(Path(cfg.output_dir) / "sweep.csv", ("sweep_param", "value"), runs)
     return 0
 
 
 def cmd_copod_score(args) -> int:
-    matrix = _read_csv_matrix(args.input)
-    if matrix.shape[0] < 2:
-        raise ConfigError(f"{args.input}: need at least 2 rows, got {matrix.shape[0]}")
-    for score in copod_scores(matrix):
+    for score in copod_scores(_read_csv_matrix(args.input)):
         print(f"{score:.9g}")
     return 0
 
@@ -227,6 +189,17 @@ def build_summary(cfg: ExperimentConfig, records: list[RoundRecord],
         "runtime_seconds": runtime,
         "config": cfg.flat_dict(),
     }
+
+
+def _write_grid(path, labels: tuple[str, str], runs) -> None:
+    """Run each (label, label, setup) in turn and write one row of macro AUC
+    averaged over the rounds and at the final round for each."""
+    rows = []
+    for first, second, setup in runs:
+        records = run_experiment(setup)
+        rows.append((first, second, _fmt(_avg_metric(records)), _fmt(_final_metric(records))))
+    path.parent.mkdir(parents=True, exist_ok=True)
+    _write_csv(path, labels + ("avg_metric", "final_metric"), rows)
 
 
 def _write_csv(path, header: tuple[str, ...], rows) -> None:

@@ -8,14 +8,17 @@ at validation time.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass, replace
+from functools import cache, reduce
+from typing import get_args, get_type_hints
 
-from .aggregators import AGGREGATOR_KINDS, AggregatorSpec
-from .attacks import AttackKind, AttackPlan, Crafted, GaussianNoise, LabelFlip, Scale
+from .aggregators import AggregatorSpec
+from .attacks import ATTACK_KINDS, AttackKind, AttackPlan
 from .errors import ConfigError
 from .harness import SimulationSetup, TrainConfig
-from .models import MODEL_KINDS, ModelSpec
+from .models import ModelSpec
 
 # Per-scenario groups of (kind spec, fraction of clients), matching the
 # benchmark catalog: the suffix is the malicious percentage at n = 10.
@@ -45,6 +48,15 @@ SCENARIOS: dict[str, tuple[tuple[str, float], ...]] = {
 }
 
 _KIND_RE = re.compile(r"^([a-z_]+)\s*(?:\((.*)\))?$")
+# Field annotations of a dataclass, evaluated once per class.
+_field_types = cache(get_type_hints)
+
+
+def _finite_float(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(text)
+    return value
 
 
 def parse_attack_kind(text: str) -> AttackKind | None:
@@ -59,38 +71,40 @@ def parse_attack_kind(text: str) -> AttackKind | None:
             raise ConfigError(f"attack argument {part!r} is not key=value in {text!r}")
         key, val = (s.strip() for s in part.split("=", 1))
         try:
-            kwargs[key] = float(val)
+            kwargs[key] = _finite_float(val)
         except ValueError as exc:
-            raise ConfigError(f"non-numeric attack argument {part!r} in {text!r}") from exc
+            raise ConfigError(f"attack argument {part!r} is not a finite number in {text!r}") from exc
+    if name == "none":
+        if kwargs:
+            raise ConfigError("'none' takes no arguments")
+        return None
+    if name not in ATTACK_KINDS:
+        raise ConfigError(f"unknown attack kind {name!r}; valid: none, {', '.join(ATTACK_KINDS)}")
+    # argument types and defaults come from the kind dataclass
+    fields = _field_types(ATTACK_KINDS[name])
+    unknown = sorted(set(kwargs) - set(fields))
+    if unknown:
+        raise ConfigError(f"unknown attack arguments {unknown} in {text!r}")
     try:
-        if name == "none":
-            if kwargs:
-                raise ConfigError("'none' takes no arguments")
-            return None
-        if name == "noise":
-            return GaussianNoise(sigma=kwargs.pop("sigma", 1.0), **_no_extra(kwargs, text))
-        if name == "scale":
-            if "factor" not in kwargs:
-                raise ConfigError(f"scale needs a factor in {text!r}")
-            return Scale(factor=kwargs.pop("factor"), **_no_extra(kwargs, text))
-        if name == "label_flip":
-            return LabelFlip(source=int(kwargs.pop("source", 0)),
-                             target=int(kwargs.pop("target", 1)),
-                             fraction=kwargs.pop("fraction", 1.0), **_no_extra(kwargs, text))
-        if name == "crafted":
-            return Crafted(lambda_init=kwargs.pop("lambda_init", 10.0),
-                           halving_steps=int(kwargs.pop("halving_steps", 10)),
-                           **_no_extra(kwargs, text))
+        return ATTACK_KINDS[name](**{key: fields[key](val) for key, val in kwargs.items()})
     except TypeError as exc:
         raise ConfigError(f"bad arguments in {text!r}: {exc}") from exc
-    raise ConfigError(f"unknown attack kind {name!r}; valid: none, noise, scale, "
-                      f"label_flip, crafted")
 
 
-def _no_extra(kwargs: dict, text: str) -> dict:
-    if kwargs:
-        raise ConfigError(f"unknown attack arguments {sorted(kwargs)} in {text!r}")
-    return {}
+def expand_groups(groups, n: int) -> AttackPlan:
+    """Assign round(fraction * n) clients to each (kind, fraction) group in
+    turn, from the highest client id downward."""
+    assignments: dict[int, AttackKind] = {}
+    next_id = n - 1
+    for kind, fraction in groups:
+        if not 0.0 <= fraction < 1.0:
+            raise ConfigError(f"malicious fraction must be in [0, 1), got {fraction}")
+        for _ in range(int(fraction * n + 0.5)):
+            if next_id < 0:
+                raise ConfigError(f"attack groups need more clients than n={n}")
+            assignments[next_id] = kind
+            next_id -= 1
+    return AttackPlan(assignments=assignments)
 
 
 def expand_scenario(name: str, n: int) -> AttackPlan:
@@ -98,23 +112,7 @@ def expand_scenario(name: str, n: int) -> AttackPlan:
     if name not in SCENARIOS:
         raise ConfigError(f"unknown attack scenario {name!r}; valid: "
                           f"{', '.join(sorted(SCENARIOS))}, custom")
-    assignments: dict[int, AttackKind] = {}
-    next_id = n - 1
-    for spec_text, fraction in SCENARIOS[name]:
-        kind = parse_attack_kind(spec_text)
-        count = int(fraction * n + 0.5)
-        for _ in range(count):
-            if next_id < 0:
-                raise ConfigError(f"scenario {name!r} needs more clients than n={n}")
-            assignments[next_id] = kind
-            next_id -= 1
-    return AttackPlan(assignments=assignments)
-
-
-def make_noise_plan(n: int, fraction: float, sigma: float = 1.0) -> AttackPlan:
-    """Noise-replacement plan on round(fraction * n) top-id clients (sweeps)."""
-    count = int(fraction * n + 0.5)
-    return AttackPlan(assignments={n - 1 - k: GaussianNoise(sigma=sigma) for k in range(count)})
+    return expand_groups([(parse_attack_kind(spec), frac) for spec, frac in SCENARIOS[name]], n)
 
 
 @dataclass(frozen=True)
@@ -166,87 +164,84 @@ class ExperimentConfig:
         return self
 
     def flat_dict(self) -> dict[str, str]:
-        """Effective configuration after defaults, as config-file keys."""
-        out = {
-            "seed": str(self.seed),
-            "clients": str(self.clients),
-            "model.kind": self.model.kind,
-            "model.input_dim": str(self.model.input_dim),
-            "model.hidden_dim": str(self.model.hidden_dim),
-            "model.classes": str(self.model.class_count),
-            "data.samples_per_class": str(self.samples_per_class),
-            "data.test_per_class": str(self.test_per_class),
-            "data.class_separation": _fmt(self.class_separation),
-            "data.partition": self.partition,
-            "data.alpha": _fmt(self.skew_alpha),
-            "train.learning_rate": _fmt(self.train.learning_rate),
-            "train.local_steps": str(self.train.local_steps),
-            "train.batch_size": str(self.train.batch_size),
-            "train.rounds": str(self.train.rounds),
-            "aggregator": self.aggregator.kind,
-            "aggregator.trim_fraction": _fmt(self.aggregator.trim_fraction),
-            "aggregator.krum_f": str(self.aggregator.resolve_krum_f(self.clients)),
-            "attack": self.attack,
-            "output_dir": self.output_dir,
-        }
+        """Effective configuration after defaults, as config-file keys; ``str``
+        round-trips every float, so the text re-parses to the same run."""
+        agg = replace(self.aggregator, krum_f=self.aggregator.resolve_krum_f(self.clients))
+        effective = replace(self, aggregator=agg)
+        out = {key: str(reduce(getattr, path, effective)) for key, path in KEYS.items()}
         for cid, spec_text in self.custom_plan:
             out[f"attack.client.{cid}"] = spec_text
         return out
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.10g}"
-
-
-_INT_KEYS = {
-    "seed", "clients", "model.input_dim", "model.hidden_dim", "model.classes",
-    "data.samples_per_class", "data.test_per_class", "train.local_steps",
-    "train.batch_size", "train.rounds", "aggregator.krum_f",
+# Config-file key -> field path in ExperimentConfig.  Each key's type comes
+# from the dataclass annotation and its default from ExperimentConfig().
+KEYS: dict[str, tuple[str, ...]] = {
+    "seed": ("seed",),
+    "clients": ("clients",),
+    "model.kind": ("model", "kind"),
+    "model.input_dim": ("model", "input_dim"),
+    "model.hidden_dim": ("model", "hidden_dim"),
+    "model.classes": ("model", "class_count"),
+    "data.samples_per_class": ("samples_per_class",),
+    "data.test_per_class": ("test_per_class",),
+    "data.class_separation": ("class_separation",),
+    "data.partition": ("partition",),
+    "data.alpha": ("skew_alpha",),
+    "train.learning_rate": ("train", "learning_rate"),
+    "train.local_steps": ("train", "local_steps"),
+    "train.batch_size": ("train", "batch_size"),
+    "train.rounds": ("train", "rounds"),
+    "aggregator": ("aggregator", "kind"),
+    "aggregator.trim_fraction": ("aggregator", "trim_fraction"),
+    "aggregator.krum_f": ("aggregator", "krum_f"),
+    "attack": ("attack",),
+    "output_dir": ("output_dir",),
 }
-_FLOAT_KEYS = {
-    "data.class_separation", "data.alpha", "train.learning_rate",
-    "aggregator.trim_fraction",
-}
-_STR_KEYS = {"model.kind", "data.partition", "aggregator", "attack", "output_dir"}
 _CLIENT_KEY_RE = re.compile(r"^attack\.client\.(\d+)$")
+_PARSERS = {int: (int, "an integer"), float: (_finite_float, "a finite number"), str: (str, "")}
+
+
+def _key_parser(key: str):
+    """Converter and its description for the annotated type of ``key``'s
+    field; an optional field (``int | None``) takes its non-None type."""
+    hint = ExperimentConfig
+    for name in KEYS[key]:
+        hint = _field_types(hint)[name]
+    return _PARSERS[next((t for t in get_args(hint) if t is not type(None)), hint)]
 
 
 def parse_config_text(text: str, source: str = "<config>") -> ExperimentConfig:
     """Parse and validate config text; errors carry ``source:line`` anchors."""
-    raw: dict[str, str] = {}
+    values: dict[tuple[str, ...], object] = {}
     custom: dict[int, str] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()
         if not stripped:
             continue
-        if "=" not in stripped:
-            raise ConfigError(f"{source}:{lineno}: expected 'key = value', got {line.strip()!r}")
-        key, value = (s.strip() for s in stripped.split("=", 1))
-        m = _CLIENT_KEY_RE.match(key)
-        if m:
-            custom[int(m.group(1))] = value
-            continue
-        if key not in _INT_KEYS | _FLOAT_KEYS | _STR_KEYS:
-            raise ConfigError(f"{source}:{lineno}: unknown key {key!r}")
-        if key in _INT_KEYS:
-            try:
-                int(value)
-            except ValueError:
-                raise ConfigError(f"{source}:{lineno}: {key} needs an integer, got {value!r}")
-        if key in _FLOAT_KEYS:
-            try:
-                float(value)
-            except ValueError:
-                raise ConfigError(f"{source}:{lineno}: {key} needs a number, got {value!r}")
-        raw[key] = value
+        try:
+            if "=" not in stripped:
+                raise ConfigError(f"expected 'key = value', got {line.strip()!r}")
+            key, value = (s.strip() for s in stripped.split("=", 1))
+            m = _CLIENT_KEY_RE.match(key)
+            if m:
+                parse_attack_kind(value)  # a bad spec fails on its own line
+                custom[int(m.group(1))] = value
+            elif key in KEYS:
+                convert, needs = _key_parser(key)
+                try:
+                    values[KEYS[key]] = convert(value)
+                except ValueError:
+                    raise ConfigError(f"{key} needs {needs}, got {value!r}") from None
+            else:
+                raise ConfigError(f"unknown key {key!r}")
+        except ConfigError as exc:
+            raise ConfigError(f"{source}:{lineno}: {exc}") from None
 
     try:
-        cfg = _build_config(raw, tuple(sorted(custom.items())))
-        cfg.validate()
+        return _build_config(values, tuple(sorted(custom.items()))).validate()
     except ConfigError as exc:
-        msg = str(exc)
-        raise ConfigError(msg if msg.startswith(source) else f"{source}: {msg}") from None
-    return cfg
+        raise ConfigError(f"{source}: {exc}") from None
 
 
 def parse_config_file(path) -> ExperimentConfig:
@@ -258,58 +253,23 @@ def parse_config_file(path) -> ExperimentConfig:
     return parse_config_text(text, source=str(path))
 
 
-def _build_config(raw: dict[str, str], custom: tuple[tuple[int, str], ...]) -> ExperimentConfig:
-    """Build the config from the parsed keys; every absent key takes the
-    default of ``ExperimentConfig`` and its nested dataclasses."""
+def _build_config(values: dict[tuple[str, ...], object],
+                  custom: tuple[tuple[int, str], ...]) -> ExperimentConfig:
+    """Set the parsed fields on ``ExperimentConfig()``, rebuilding each nested
+    dataclass once; every absent key keeps the dataclass default."""
     base = ExperimentConfig()
-    geti = lambda k, d: int(raw[k]) if k in raw else d
-    getf = lambda k, d: float(raw[k]) if k in raw else d
-    gets = lambda k, d: raw.get(k, d)
-
-    kind = gets("model.kind", base.model.kind)
-    if kind not in MODEL_KINDS:
-        raise ConfigError(f"model.kind must be one of {', '.join(MODEL_KINDS)}, got {kind!r}")
-    model = ModelSpec(kind=kind,
-                      input_dim=geti("model.input_dim", base.model.input_dim),
-                      class_count=geti("model.classes", base.model.class_count),
-                      hidden_dim=geti("model.hidden_dim", base.model.hidden_dim))
-    train = TrainConfig(learning_rate=getf("train.learning_rate", base.train.learning_rate),
-                        local_steps=geti("train.local_steps", base.train.local_steps),
-                        batch_size=geti("train.batch_size", base.train.batch_size),
-                        rounds=geti("train.rounds", base.train.rounds))
-    agg_kind = gets("aggregator", base.aggregator.kind)
-    if agg_kind not in AGGREGATOR_KINDS:
-        raise ConfigError(f"aggregator must be one of {', '.join(AGGREGATOR_KINDS)}, "
-                          f"got {agg_kind!r}")
-    aggregator = AggregatorSpec(
-        kind=agg_kind,
-        trim_fraction=getf("aggregator.trim_fraction", base.aggregator.trim_fraction),
-        krum_f=geti("aggregator.krum_f", base.aggregator.krum_f))
-    attack = gets("attack", base.attack)
-    if attack != "custom" and custom:
+    top: dict[str, object] = {}
+    nested: dict[str, dict[str, object]] = {}
+    for path, value in values.items():
+        if len(path) == 1:
+            top[path[0]] = value
+        else:
+            nested.setdefault(path[0], {})[path[1]] = value
+    for name, fields in nested.items():
+        top[name] = replace(getattr(base, name), **fields)
+    if custom and top.get("attack", base.attack) != "custom":
         raise ConfigError("attack.client.* entries require attack = custom")
-    if attack != "custom" and attack not in SCENARIOS:
-        raise ConfigError(f"unknown attack scenario {attack!r}; valid: "
-                          f"{', '.join(sorted(SCENARIOS))}, custom")
-    partition = gets("data.partition", base.partition)
-    if partition not in ("iid", "label_skew"):
-        raise ConfigError(f"data.partition must be iid or label_skew, got {partition!r}")
-
-    return ExperimentConfig(
-        seed=geti("seed", base.seed),
-        clients=geti("clients", base.clients),
-        model=model,
-        samples_per_class=geti("data.samples_per_class", base.samples_per_class),
-        test_per_class=geti("data.test_per_class", base.test_per_class),
-        class_separation=getf("data.class_separation", base.class_separation),
-        partition=partition,
-        skew_alpha=getf("data.alpha", base.skew_alpha),
-        train=train,
-        aggregator=aggregator,
-        attack=attack,
-        custom_plan=custom,
-        output_dir=gets("output_dir", base.output_dir),
-    )
+    return replace(base, custom_plan=custom, **top)
 
 
 def with_overrides(cfg: ExperimentConfig, **changes) -> ExperimentConfig:

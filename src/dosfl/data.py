@@ -38,6 +38,8 @@ class LabeledDataset:
 def sample_class_means(class_count: int, input_dim: int, separation: float,
                        rng: np.random.Generator) -> np.ndarray:
     """Class means drawn uniformly on the sphere of radius ``separation``."""
+    if class_count < 2 or input_dim < 1:
+        raise ConfigError("need class_count >= 2 and input_dim >= 1")
     dirs = rng.standard_normal((class_count, input_dim))
     norms = np.linalg.norm(dirs, axis=1, keepdims=True)
     norms[norms == 0.0] = 1.0
@@ -58,8 +60,6 @@ def sample_from_means(means: np.ndarray, per_class: int,
 def generate_synthetic(class_count: int, input_dim: int, samples_per_class: int,
                        class_separation: float, rng: np.random.Generator) -> LabeledDataset:
     """Gaussian class clusters with means on a sphere of radius ``class_separation``."""
-    if class_count < 2 or input_dim < 1:
-        raise ConfigError("need class_count >= 2 and input_dim >= 1")
     means = sample_class_means(class_count, input_dim, class_separation, rng)
     return sample_from_means(means, samples_per_class, rng)
 
@@ -68,8 +68,6 @@ def make_train_test(class_count: int, input_dim: int, train_per_class: int,
                     test_per_class: int, class_separation: float,
                     rng: np.random.Generator) -> tuple[LabeledDataset, LabeledDataset]:
     """Train and held-out test sets drawn around the same class means."""
-    if class_count < 2 or input_dim < 1:
-        raise ConfigError("need class_count >= 2 and input_dim >= 1")
     means = sample_class_means(class_count, input_dim, class_separation, rng)
     train = sample_from_means(means, train_per_class, rng)
     test = sample_from_means(means, test_per_class, rng)

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .aggregators import AggregatorSpec, run_rule
+from .aggregators import AggregatorSpec, krum_neighbors, run_rule, trim_count
 from .attacks import AttackContext, AttackPlan, apply_attack_plan, attack_label_flip
 from .data import LabeledDataset, make_train_test, partition_iid, partition_label_skew
 from .errors import ConfigError, ExperimentError
@@ -222,14 +222,9 @@ class SimulationSetup:
         if len(self.plan.assignments) >= self.clients:
             raise ConfigError("attack plan must leave at least one honest client")
         if self.aggregator.kind == "krum":
-            f = self.aggregator.resolve_krum_f(self.clients)
-            if self.clients - f - 2 < 1:
-                raise ConfigError(f"krum needs n - f - 2 >= 1, got n={self.clients}, f={f}")
+            krum_neighbors(self.clients, self.aggregator.resolve_krum_f(self.clients))
         if self.aggregator.kind == "trimmed_mean":
-            k = int(self.aggregator.trim_fraction * self.clients)
-            if self.clients - 2 * k < 1:
-                raise ConfigError(f"trim_fraction {self.aggregator.trim_fraction} removes "
-                                  f"all {self.clients} values")
+            trim_count(self.aggregator.trim_fraction, self.clients)
 
 
 def prepare_shards(setup: SimulationSetup) -> tuple[list[LabeledDataset], LabeledDataset]:
@@ -244,8 +239,7 @@ def prepare_shards(setup: SimulationSetup) -> tuple[list[LabeledDataset], Labele
     else:
         shards = partition_label_skew(train, setup.clients, setup.skew_alpha, rng_part)
     for cid, flip in setup.plan.label_flip_items():
-        shards[cid] = attack_label_flip(shards[cid], flip.source, flip.target,
-                                        flip.fraction, seed_stream(setup.seed, "labelflip", cid))
+        shards[cid] = attack_label_flip(shards[cid], flip, seed_stream(setup.seed, "labelflip", cid))
     return shards, test
 
 

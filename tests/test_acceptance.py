@@ -18,7 +18,8 @@ import pytest
 from dosfl.aggregators import AggregatorSpec, aggregate_krum, aggregate_median, \
     aggregate_trimmed_mean
 from dosfl.cli import main
-from dosfl.config import ExperimentConfig, make_noise_plan, with_overrides
+from dosfl.attacks import GaussianNoise
+from dosfl.config import ExperimentConfig, expand_groups, with_overrides
 from dosfl.copod import copod_scores, dos_outlier_scores
 from dosfl.harness import run_experiment
 from dosfl.models import ModelSpec, loss_and_grad
@@ -76,7 +77,7 @@ def grid():
     }
     for frac in (0.1, 0.2, 0.3, 0.5, 0.6):
         runs[("dos", f"noise_frac_{frac}")] = run_suite(
-            "dos", "no_attack", plan=make_noise_plan(10, frac))
+            "dos", "no_attack", plan=expand_groups([(GaussianNoise(), frac)], 10))
     runs[("dos", "noise_frac_0.4")] = runs[("dos", "noise_40")]  # same plan
     return runs
 

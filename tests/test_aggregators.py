@@ -94,6 +94,11 @@ def test_krum_precondition():
         aggregate_krum(updates_of([0.0, 1.0, 2.0]), f=1)  # n - f - 2 = 0
 
 
+def test_krum_rejects_negative_f():
+    with pytest.raises(ConfigError):
+        aggregate_krum(updates_of([0.0, 1.0, 2.0, 3.0]), f=-1)  # n - f - 2 >= 1 alone holds
+
+
 def test_krum_output_is_an_input_row():
     rng = np.random.default_rng(0)
     for _ in range(20):

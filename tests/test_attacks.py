@@ -14,6 +14,7 @@ from dosfl.attacks import (
     attack_gaussian_noise,
     attack_label_flip,
     attack_scale,
+    local_krum_oracle,
 )
 from dosfl.data import LabeledDataset
 from dosfl.errors import ConfigError
@@ -25,35 +26,35 @@ def rng_of(seed):
 
 
 def test_noise_moments_at_fixed_seed():
-    out = attack_gaussian_noise(np.zeros(10000), 1.0, rng_of(42))
+    out = attack_gaussian_noise(np.zeros(10000), GaussianNoise(1.0), rng_of(42))
     assert -0.05 <= out.mean() <= 0.05
     assert 0.97 <= out.std() <= 1.03
 
 
 def test_noise_ignores_honest_values():
-    a = attack_gaussian_noise(np.zeros(50), 1.0, rng_of(7))
-    b = attack_gaussian_noise(np.full(50, 1e6), 1.0, rng_of(7))
+    a = attack_gaussian_noise(np.zeros(50), GaussianNoise(1.0), rng_of(7))
+    b = attack_gaussian_noise(np.full(50, 1e6), GaussianNoise(1.0), rng_of(7))
     np.testing.assert_array_equal(a, b)
 
 
 def test_noise_sigma_scales_exactly():
-    a = attack_gaussian_noise(np.zeros(50), 1.0, rng_of(9))
-    b = attack_gaussian_noise(np.zeros(50), 100.0, rng_of(9))
+    a = attack_gaussian_noise(np.zeros(50), GaussianNoise(1.0), rng_of(9))
+    b = attack_gaussian_noise(np.zeros(50), GaussianNoise(100.0), rng_of(9))
     np.testing.assert_array_equal(b, 100.0 * a)
 
 
 def test_noise_rejects_bad_sigma():
     with pytest.raises(ConfigError):
-        attack_gaussian_noise(np.zeros(3), 0.0, rng_of(0))
+        attack_gaussian_noise(np.zeros(3), GaussianNoise(0.0), rng_of(0))
 
 
 def test_scale_examples():
-    np.testing.assert_allclose(attack_scale(np.array([1.0, -2.0]), 100.0), [100.0, -200.0])
-    np.testing.assert_allclose(attack_scale(np.array([1.0, -2.0]), -0.5), [-0.5, 1.0])
+    np.testing.assert_allclose(attack_scale(np.array([1.0, -2.0]), Scale(100.0)), [100.0, -200.0])
+    np.testing.assert_allclose(attack_scale(np.array([1.0, -2.0]), Scale(-0.5)), [-0.5, 1.0])
     v = np.array([3.0, 4.0])
-    np.testing.assert_array_equal(attack_scale(v, 1.0), v)
+    np.testing.assert_array_equal(attack_scale(v, Scale(1.0)), v)
     with pytest.raises(ConfigError):
-        attack_scale(v, 0.0)
+        attack_scale(v, Scale(0.0))
 
 
 def toy_dataset(labels, class_count=3):
@@ -64,20 +65,20 @@ def toy_dataset(labels, class_count=3):
 
 def test_label_flip_full_fraction():
     ds = toy_dataset([0, 0, 1, 0, 2, 0])
-    out = attack_label_flip(ds, 0, 1, 1.0, rng_of(0))
+    out = attack_label_flip(ds, LabelFlip(0, 1, 1.0), rng_of(0))
     assert np.sum(out.labels == 0) == 0
     assert np.sum(out.labels == 1) == 5
 
 
 def test_label_flip_rounded_count():
     ds = toy_dataset([0] * 100 + [1] * 5, class_count=2)
-    out = attack_label_flip(ds, 0, 1, 0.5, rng_of(1))
+    out = attack_label_flip(ds, LabelFlip(0, 1, 0.5), rng_of(1))
     assert np.sum(out.labels == 0) == 50
 
 
 def test_label_flip_preserves_features_and_size():
     ds = toy_dataset([0, 0, 1, 2])
-    out = attack_label_flip(ds, 0, 2, 1.0, rng_of(2))
+    out = attack_label_flip(ds, LabelFlip(0, 2, 1.0), rng_of(2))
     np.testing.assert_array_equal(out.features, ds.features)
     assert len(out) == len(ds)
     assert out.class_count == ds.class_count
@@ -88,11 +89,11 @@ def test_label_flip_preserves_features_and_size():
 def test_label_flip_errors():
     ds = toy_dataset([1, 1, 2])
     with pytest.raises(ConfigError):
-        attack_label_flip(ds, 0, 1, 1.0, rng_of(3))  # source absent
+        attack_label_flip(ds, LabelFlip(0, 1, 1.0), rng_of(3))  # source absent
     with pytest.raises(ConfigError):
-        attack_label_flip(ds, 1, 1, 1.0, rng_of(3))  # source == target
+        attack_label_flip(ds, LabelFlip(1, 1, 1.0), rng_of(3))  # source == target
     with pytest.raises(ConfigError):
-        attack_label_flip(ds, 1, 7, 1.0, rng_of(3))  # target outside alphabet
+        attack_label_flip(ds, LabelFlip(1, 7, 1.0), rng_of(3))  # target outside alphabet
 
 
 def krum_oracle_f1(vectors):
@@ -100,11 +101,16 @@ def krum_oracle_f1(vectors):
     return int(np.argmax(aggregate_krum(ups, 1).weights))
 
 
+def test_local_krum_oracle_needs_three_vectors():
+    with pytest.raises(ConfigError):
+        local_krum_oracle([np.zeros(2), np.ones(2)])  # f = len - 3 < 0
+
+
 def test_crafted_moves_against_benign_direction():
     prev = np.zeros(4)
     honest = [np.array([1.0, 2.0, -1.0, 0.5]) + 0.01 * rng_of(i).standard_normal(4)
               for i in range(3)]
-    out = attack_crafted(prev, honest, 2.0, 4, None, [rng_of(10), rng_of(11), rng_of(12)])
+    out = attack_crafted(prev, honest, Crafted(2.0, 4), None, [rng_of(10), rng_of(11), rng_of(12)])
     s = np.sign(np.mean(honest, axis=0) - prev)
     for crafted in out:
         moved = crafted - prev
@@ -123,7 +129,7 @@ def test_crafted_lambda_search_matches_bruteforce():
             break
     if expect is None:
         expect = candidates[-1]
-    out = attack_crafted(prev, honest, 8.0, 6, krum_oracle_f1,
+    out = attack_crafted(prev, honest, Crafted(8.0, 6), krum_oracle_f1,
                          [rng_of(1), rng_of(2), rng_of(3)])
     for crafted in out:
         assert crafted[0] == pytest.approx(-expect, abs=0.05 * expect)
@@ -132,14 +138,14 @@ def test_crafted_lambda_search_matches_bruteforce():
 def test_crafted_single_candidate():
     prev = np.zeros(2)
     honest = [np.ones(2), np.ones(2) * 1.2]
-    out = attack_crafted(prev, honest, 4.0, 0, lambda vs: 5, [rng_of(4), rng_of(5)])
+    out = attack_crafted(prev, honest, Crafted(4.0, 0), lambda vs: 5, [rng_of(4), rng_of(5)])
     for crafted in out:
         np.testing.assert_allclose(crafted, -4.0 * np.ones(2), atol=0.2)
 
 
 def test_crafted_requires_matching_rngs():
     with pytest.raises(ConfigError):
-        attack_crafted(np.zeros(2), [np.ones(2)], 1.0, 2, None, [])
+        attack_crafted(np.zeros(2), [np.ones(2)], Crafted(1.0, 2), None, [])
 
 
 def make_context(seed=0, prev=None):

@@ -1,4 +1,7 @@
 import json
+import re
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,8 +11,8 @@ from dosfl.cli import main
 from dosfl.config import (
     SCENARIOS,
     ExperimentConfig,
+    expand_groups,
     expand_scenario,
-    make_noise_plan,
     parse_attack_kind,
     parse_config_text,
 )
@@ -136,9 +139,54 @@ def test_custom_entries_require_custom_mode():
         parse_config_text("attack = noise_40\nattack.client.1 = none\n")
 
 
-def test_make_noise_plan_counts():
-    assert len(make_noise_plan(10, 0.6).assignments) == 6
-    assert sorted(make_noise_plan(10, 0.2).assignments) == [8, 9]
+def test_expand_groups_noise_counts():
+    assert len(expand_groups([(GaussianNoise(), 0.6)], 10).assignments) == 6
+    assert sorted(expand_groups([(GaussianNoise(), 0.2)], 10).assignments) == [8, 9]
+
+
+@pytest.mark.parametrize("line", [
+    "train.learning_rate = nan",
+    "train.learning_rate = inf",
+    "data.class_separation = nan",
+    "data.alpha = inf",
+    "aggregator.trim_fraction = -inf",
+    "attack = custom\nattack.client.3 = noise(sigma=nan)",
+    "attack = custom\nattack.client.3 = crafted(lambda_init=inf)",
+])
+def test_parse_rejects_non_finite_numbers(line):
+    lineno = line.count("\n") + 1
+    with pytest.raises(ConfigError, match=rf"<config>:{lineno}: .*finite"):
+        parse_config_text(line + "\n")
+
+
+def render(flat: dict[str, str]) -> str:
+    return "".join(f"{key} = {value}\n" for key, value in flat.items())
+
+
+@pytest.mark.parametrize("text", [
+    "",
+    "train.learning_rate = 0.123456789012\ndata.class_separation = 6.000000000001\n"
+    "data.alpha = 1e-300\naggregator.trim_fraction = 0.1000000000000001\n",
+    "clients = 7\naggregator = krum\naggregator.krum_f = 2\nattack = custom\n"
+    "attack.client.6 = scale(factor=-0.123456789012345)\n"
+    "attack.client.2 = crafted(lambda_init=3.3333333333333,halving_steps=4)\n",
+])
+def test_flat_dict_round_trips_through_config_text(text):
+    cfg = parse_config_text(text)
+    flat = cfg.flat_dict()
+    again = parse_config_text(render(flat))
+    assert again.flat_dict() == flat
+    # the same run: only krum_f is written resolved against the client count
+    krum_f = cfg.aggregator.resolve_krum_f(cfg.clients)
+    assert again == replace(cfg, aggregator=replace(cfg.aggregator, krum_f=krum_f))
+
+
+def test_readme_key_block_matches_defaults():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = re.search(r"All keys with their defaults:\n\n```ini\n(.*?)```", readme, re.S).group(1)
+    keys = [line.split("=", 1)[0].strip() for line in block.splitlines() if line.strip()]
+    assert sorted(keys) == sorted(ExperimentConfig().flat_dict())
+    assert parse_config_text(block).flat_dict() == ExperimentConfig().flat_dict()
 
 
 # ---------------------------------------------------------------------------
@@ -283,6 +331,21 @@ def test_compare_and_sweep_byte_identical(tmp_path):
     second = ((tmp_path / "out" / "compare.csv").read_bytes(),
               (tmp_path / "out" / "sweep.csv").read_bytes())
     assert first == second
+
+
+def test_cmd_compare_unknown_scenario_writes_nothing(tmp_path):
+    cfg = write_cfg(tmp_path, FAST)
+    assert main(["compare", "--config", str(cfg), "--aggregators", "dos",
+                 "--scenarios", "no_attack,bogus"]) == 2
+    assert not (tmp_path / "out" / "compare.csv").exists()
+
+
+@pytest.mark.parametrize("param,value", [("malicious_fraction", "-0.1"),
+                                         ("client_count", "1")])
+def test_cmd_sweep_rejects_bad_value(tmp_path, param, value):
+    cfg = write_cfg(tmp_path, FAST)
+    assert main(["sweep", "--config", str(cfg), "--param", param, "--values", value]) == 2
+    assert not (tmp_path / "out" / "sweep.csv").exists()
 
 
 def test_cmd_sweep_empty_values(tmp_path):
