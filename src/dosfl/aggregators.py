@@ -107,41 +107,43 @@ def aggregate_fedavg(updates, alphas=None) -> AggregationResult:
     return AggregationResult(new_global=weighted_average(mat, w), weights=w)
 
 
+def _sorted_slice_mean(mat: np.ndarray, k: int) -> np.ndarray:
+    """Per column, the mean left after dropping the k smallest and k largest values."""
+    return np.sort(mat, axis=0)[k : mat.shape[0] - k].mean(axis=0)
+
+
 def aggregate_median(updates) -> AggregationResult:
-    """Coordinate-wise median; even n uses the midpoint of the central pair."""
+    """Coordinate-wise median as the widest trimmed mean, k = (n - 1) // 2 per
+    end; even n averages the central pair.  Bit for bit ``np.median``."""
     _, mat = stack_updates(updates)
-    return AggregationResult(new_global=np.median(mat, axis=0), weights=None)
+    k = (mat.shape[0] - 1) // 2
+    return AggregationResult(new_global=_sorted_slice_mean(mat, k), weights=None)
 
 
 def aggregate_trimmed_mean(updates, trim_fraction: float) -> AggregationResult:
     """Per coordinate, drop the floor(trim_fraction * n) smallest and largest
     values and average the rest."""
     _, mat = stack_updates(updates)
-    n = mat.shape[0]
-    k = trim_count(trim_fraction, n)
-    ordered = np.sort(mat, axis=0)
-    kept = ordered[k : n - k] if k > 0 else ordered
-    return AggregationResult(new_global=kept.mean(axis=0), weights=None)
+    k = trim_count(trim_fraction, mat.shape[0])
+    return AggregationResult(new_global=_sorted_slice_mean(mat, k), weights=None)
 
 
-def krum_select(mat: np.ndarray, f: int) -> int:
-    """Row of an (n, d) matrix with the smallest sum of squared distances to
-    its n - f - 2 nearest other rows; ties break to the lowest row.
-
-    The squared distances come from ``pdist``, so memory is O(n^2 + n*d):
-    no (n, n, d) difference tensor is built.
-    """
-    neighbors = krum_neighbors(mat.shape[0], f)
-    sq = squareform(pdist(mat, "sqeuclidean"))
+def krum_select(sq: np.ndarray, f: int) -> int:
+    """Row of an (n, n) squared-distance matrix with the smallest sum over its
+    n - f - 2 nearest other rows; ties break to the lowest row.  The diagonal
+    is ignored and ``sq`` is not modified."""
+    neighbors = krum_neighbors(sq.shape[0], f)
+    sq = np.array(sq, dtype=np.float64)
     np.fill_diagonal(sq, np.inf)  # a row is not its own neighbour
     scores = np.sort(sq, axis=1)[:, :neighbors].sum(axis=1)
     return int(np.argmin(scores))  # argmin takes the first minimum: lowest row
 
 
 def aggregate_krum(updates, f: int) -> AggregationResult:
-    """Select one update with :func:`krum_select`, in client-id order."""
+    """Select one update with :func:`krum_select`, in client-id order, over
+    ``pdist``'s squared distances: O(n^2 + n*d) memory, no (n, n, d) tensor."""
     _, mat = stack_updates(updates)
-    pick = krum_select(mat, f)
+    pick = krum_select(squareform(pdist(mat, "sqeuclidean")), f)
     weights = np.zeros(mat.shape[0])
     weights[pick] = 1.0
     return AggregationResult(new_global=mat[pick].copy(), weights=weights)

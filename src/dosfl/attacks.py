@@ -12,6 +12,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Union
 
 import numpy as np
+from scipy.spatial.distance import pdist, squareform
 
 from .aggregators import krum_select
 from .data import LabeledDataset
@@ -133,24 +134,28 @@ def attack_label_flip(dataset: LabeledDataset, kind: LabelFlip,
                           class_count=dataset.class_count)
 
 
-def local_krum_oracle(vectors: list[np.ndarray]) -> int:
-    """Krum over the attacker's local view, assuming the largest valid
-    byzantine count (len - 3); the vectors are already validated."""
-    return krum_select(np.stack(vectors), len(vectors) - 3)
+def local_krum_oracle(sq: np.ndarray) -> int:
+    """Krum over the attacker's local view, an (m+1, m+1) squared-distance
+    matrix with the crafted point first, with the largest valid byzantine
+    count (m + 1 - 3).  0 means the crafted point won, ties included."""
+    return krum_select(sq, len(sq) - 3)
 
 
 def attack_crafted(global_prev: np.ndarray, honest_updates_of_malicious, kind: Crafted,
-                   krum_oracle: Callable[[list[np.ndarray]], int] | None,
+                   krum_oracle: Callable[[np.ndarray], int] | None,
                    rngs) -> list[np.ndarray]:
     """Directed-deviation attack shared by all colluding clients.
 
     Estimates the benign direction from the colluders' own honest training
     results, then walks the previous global model against it:
-    c(lam) = global_prev - lam * sign(mean(honest) - global_prev).  The largest
-    lam from {kind.lambda_init * 2^-k} whose crafted point wins the local Krum
-    simulation is kept (smallest candidate if none wins, or if no oracle is
-    available).  Each colluder transmits c(lam) plus Normal(0, (0.01*lam)^2)
-    jitter so the copies are not exact duplicates.
+    c(lam) = g - lam * s with g = global_prev and s = sign(mean(honest) - g).
+    The largest lam from {kind.lambda_init * 2^-k} whose crafted point wins the
+    local Krum vote, ties included, is kept (smallest candidate if none wins,
+    or if no oracle is available).  The vote's squared distances are closed
+    form: ||c(lam) - h_j||^2 = ||g - h_j||^2 - 2 lam s.(g - h_j) + lam^2 ||s||^2,
+    clamped at 0, so each candidate costs O(m^2), not O(m^2 d).  Each colluder
+    transmits c(lam) plus Normal(0, (0.01*lam)^2) jitter so the copies are not
+    exact duplicates.
     """
     honest = [as_parameter_vector(h) for h in honest_updates_of_malicious]
     if not honest:
@@ -158,13 +163,22 @@ def attack_crafted(global_prev: np.ndarray, honest_updates_of_malicious, kind: C
     if len(rngs) != len(honest):
         raise ConfigError(f"{len(honest)} colluders but {len(rngs)} rng streams")
     global_prev = as_parameter_vector(global_prev)
+    honest = np.stack(honest)
 
     direction = np.sign(np.mean(honest, axis=0) - global_prev)
     candidates = [kind.lambda_init * 2.0 ** -k for k in range(kind.halving_steps + 1)]
     lam = candidates[-1]
     if krum_oracle is not None:
+        offsets = global_prev - honest
+        # einsum, not BLAS: small threaded products can stall
+        base = np.einsum("ij,ij->i", offsets, offsets)
+        proj = np.einsum("ij,j->i", offsets, direction)
+        s_sq = float(np.count_nonzero(direction))
+        honest_sq = np.pad(squareform(pdist(honest, "sqeuclidean")), (1, 0))
         for cand in candidates:
-            if krum_oracle([global_prev - cand * direction] + honest) == 0:
+            sq = honest_sq.copy()
+            sq[0, 1:] = sq[1:, 0] = np.maximum(base - 2.0 * cand * proj + cand * cand * s_sq, 0.0)
+            if krum_oracle(sq) == 0:
                 lam = cand
                 break
     crafted = global_prev - lam * direction
@@ -177,7 +191,7 @@ class AttackContext:
 
     rng_for: Callable[[int], np.random.Generator]
     global_prev: np.ndarray | None = None
-    krum_oracle: Callable[[list[np.ndarray]], int] | None = None
+    krum_oracle: Callable[[np.ndarray], int] | None = None
 
 
 def apply_attack_plan(plan: AttackPlan, round_outputs: dict[int, np.ndarray],

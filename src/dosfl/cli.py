@@ -130,17 +130,21 @@ def cmd_compare(args) -> int:
 def cmd_sweep(args) -> int:
     cfg = _load_config(args)
     if args.param == "malicious_fraction":
-        values = ([float(v) for v in _split_list(args.values, "--values")]
-                  if args.values is not None else list(SWEEP_FRACTIONS))
         runs = [(args.param, _fmt(frac),
                  cfg.to_setup(plan=expand_groups([(GaussianNoise(), frac)], cfg.clients)))
-                for frac in values]
+                for frac in _sweep_values(args.values, float, SWEEP_FRACTIONS)]
     else:
-        values = ([int(v) for v in _split_list(args.values, "--values")]
-                  if args.values is not None else list(SWEEP_CLIENT_COUNTS))
-        runs = [(args.param, str(n), replace(cfg, clients=n).to_setup()) for n in values]
+        runs = [(args.param, str(n), replace(cfg, clients=n).to_setup())
+                for n in _sweep_values(args.values, int, SWEEP_CLIENT_COUNTS)]
     _write_grid(Path(cfg.output_dir) / "sweep.csv", ("sweep_param", "value"), runs)
     return 0
+
+
+def _sweep_values(text: str | None, convert, defaults) -> list:
+    try:
+        return list(defaults) if text is None else [convert(v) for v in _split_list(text, "--values")]
+    except ValueError:
+        raise ConfigError(f"--values needs {convert.__name__} entries, got {text!r}") from None
 
 
 def cmd_copod_score(args) -> int:

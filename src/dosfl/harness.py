@@ -200,12 +200,12 @@ class SimulationSetup:
     model: ModelSpec
     train: TrainConfig
     aggregator: AggregatorSpec
+    samples_per_class: int
+    test_per_class: int
+    class_separation: float
+    partition: str  # "iid" or "label_skew"
+    skew_alpha: float
     plan: AttackPlan = field(default_factory=AttackPlan)
-    samples_per_class: int = 200
-    test_per_class: int = 50
-    class_separation: float = 6.0
-    partition: str = "iid"  # or "label_skew"
-    skew_alpha: float = 0.5
 
     def __post_init__(self):
         if self.clients < 2:

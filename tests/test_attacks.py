@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from dosfl.aggregators import aggregate_krum
+from dosfl.aggregators import krum_select
 from dosfl.attacks import (
     AttackContext,
     AttackPlan,
@@ -18,7 +18,8 @@ from dosfl.attacks import (
 )
 from dosfl.data import LabeledDataset
 from dosfl.errors import ConfigError
-from dosfl.params import ClientUpdate
+
+from .oracles import krum_select_oracle
 
 
 def rng_of(seed):
@@ -96,14 +97,9 @@ def test_label_flip_errors():
         attack_label_flip(ds, LabelFlip(1, 7, 1.0), rng_of(3))  # target outside alphabet
 
 
-def krum_oracle_f1(vectors):
-    ups = [ClientUpdate(i, v) for i, v in enumerate(vectors)]
-    return int(np.argmax(aggregate_krum(ups, 1).weights))
-
-
 def test_local_krum_oracle_needs_three_vectors():
     with pytest.raises(ConfigError):
-        local_krum_oracle([np.zeros(2), np.ones(2)])  # f = len - 3 < 0
+        local_krum_oracle(np.array([[0.0, 2.0], [2.0, 0.0]]))  # f = len - 3 < 0
 
 
 def test_crafted_moves_against_benign_direction():
@@ -124,15 +120,46 @@ def test_crafted_lambda_search_matches_bruteforce():
     candidates = [8.0 * 2.0 ** -k for k in range(7)]
     expect = None
     for lam in candidates:
-        if krum_oracle_f1([prev - lam * np.sign(np.mean(honest) - prev)] + honest) == 0:
+        if krum_select_oracle([prev - lam * np.sign(np.mean(honest) - prev)] + honest, 1) == 0:
             expect = lam
             break
     if expect is None:
         expect = candidates[-1]
+    seen = []
+
+    def krum_oracle_f1(sq):
+        # the hook gets the (m+1, m+1) squared distances, crafted point first
+        seen.append(sq)
+        return krum_select(sq, 1)
+
     out = attack_crafted(prev, honest, Crafted(8.0, 6), krum_oracle_f1,
                          [rng_of(1), rng_of(2), rng_of(3)])
+    for lam, sq in zip(candidates, seen):
+        rows = [prev - lam * np.sign(np.mean(honest) - prev)] + honest
+        np.testing.assert_allclose(sq, [[np.sum((a - b) ** 2) for b in rows] for a in rows],
+                                   rtol=1e-12, atol=1e-12)
+    assert len(seen) == candidates.index(expect) + 1
     for crafted in out:
         assert crafted[0] == pytest.approx(-expect, abs=0.05 * expect)
+
+
+def test_crafted_oracle_matrix_is_clamped_at_zero():
+    # The first honest row sits at the last candidate's crafted point; there the
+    # closed form rounds to -2.2e-16 before the clamp.
+    prev = np.array([2.7, 0.4, -0.4])
+    s = np.array([-1.0, -1.0, 1.0])
+    honest = [prev - 0.625 * s, prev + 3.0 * s, prev + 3.0 * s]
+    seen = []
+
+    def oracle(sq):
+        seen.append(sq)
+        return local_krum_oracle(sq)
+
+    out = attack_crafted(prev, honest, Crafted(10.0, 4), oracle, [rng_of(i) for i in range(3)])
+    assert len(seen) == 5 and all(sq.min() == 0.0 for sq in seen)
+    assert seen[-1][0, 1] == 0.0  # an exact tie, which the crafted point wins
+    for crafted in out:
+        np.testing.assert_allclose(crafted, prev - 0.625 * s, atol=0.05)
 
 
 def test_crafted_single_candidate():

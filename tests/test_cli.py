@@ -341,7 +341,9 @@ def test_cmd_compare_unknown_scenario_writes_nothing(tmp_path):
 
 
 @pytest.mark.parametrize("param,value", [("malicious_fraction", "-0.1"),
-                                         ("client_count", "1")])
+                                         ("client_count", "1"),
+                                         ("malicious_fraction", "abc"),
+                                         ("client_count", "2.5")])
 def test_cmd_sweep_rejects_bad_value(tmp_path, param, value):
     cfg = write_cfg(tmp_path, FAST)
     assert main(["sweep", "--config", str(cfg), "--param", param, "--values", value]) == 2

@@ -386,7 +386,8 @@ def small_setup(**kw):
     defaults = dict(seed=5, clients=4, model=ModelSpec(input_dim=6, class_count=3),
                     train=TrainConfig(batch_size=8, rounds=3),
                     aggregator=AggregatorSpec(kind="dos"),
-                    samples_per_class=40, test_per_class=20, class_separation=5.0)
+                    samples_per_class=40, test_per_class=20, class_separation=5.0,
+                    partition="iid", skew_alpha=0.5)
     defaults.update(kw)
     return SimulationSetup(**defaults)
 

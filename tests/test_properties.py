@@ -4,10 +4,12 @@ per-pair or per-column loop: ties, constant columns, extreme scales, zero and
 underflowing rows, and exact or near duplicates."""
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.spatial.distance import pdist, squareform
 
-from dosfl.aggregators import aggregate_krum
+from dosfl.aggregators import aggregate_krum, aggregate_median, krum_select
+from dosfl.attacks import Crafted, attack_crafted, local_krum_oracle
 from dosfl.copod import copod_scores
 from dosfl.params import ClientUpdate, pairwise_distances
 
@@ -38,6 +40,16 @@ def copod_matrices(draw):
 @given(copod_matrices())
 def test_copod_matches_oracle_on_ties_constants_and_scales(m):
     np.testing.assert_allclose(copod_scores(m), oracles.copod_scores_oracle(m), atol=1e-9)
+
+
+@PROPERTY
+@given(copod_matrices())
+def test_median_matches_np_median_and_oracle(m):
+    # n runs from 2 to 12, so both parities; integer entries and constant
+    # columns repeat values within a column
+    got = aggregate_median([ClientUpdate(i, v) for i, v in enumerate(m)]).new_global
+    np.testing.assert_array_equal(got, np.median(m, axis=0))
+    np.testing.assert_array_equal(got, oracles.median_oracle(m))
 
 
 @st.composite
@@ -87,15 +99,19 @@ def test_pairwise_distances_match_per_pair_oracle(m):
                 assert abs(dp.cosine[i, j] - cos) <= 1e-12
 
 
+# Dyadic entries keep every squared distance and score exact in both the
+# library and the oracle, so a tie is a real tie and must break to the lowest row.
+dyadic = st.integers(-16, 16).map(lambda k: k / 8.0)
+
+
 @st.composite
 def krum_cases(draw):
-    # dyadic entries keep every squared distance and score exact, so ties
-    # between rows are real ties and must break to the lowest index
     n = draw(st.integers(3, 9))
     d = draw(st.integers(1, 4))
-    m = np.array(draw(st.lists(st.lists(st.integers(-16, 16).map(lambda k: k / 8.0),
-                                        min_size=d, max_size=d),
+    m = np.array(draw(st.lists(st.lists(dyadic, min_size=d, max_size=d),
                                min_size=n, max_size=n)))
+    for i in draw(st.sets(st.integers(1, n - 1))):
+        m[i] = m[draw(st.integers(0, i - 1))]  # an exact duplicate of an earlier row
     return m, draw(st.integers(0, n - 3))
 
 
@@ -107,3 +123,67 @@ def test_krum_matches_oracle(case):
     expected = oracles.krum_select_oracle(m.tolist(), f)
     assert int(np.argmax(result.weights)) == expected
     np.testing.assert_array_equal(result.new_global, m[expected])
+
+
+@PROPERTY
+@given(krum_cases())
+def test_krum_kernel_on_squared_distances_matches_oracle(case):
+    m, f = case
+    sq = squareform(pdist(m, "sqeuclidean"))
+    before = sq.copy()
+    assert krum_select(sq, f) == oracles.krum_select_oracle(m.tolist(), f)
+    np.testing.assert_array_equal(sq, before)  # the kernel does not write to its input
+
+
+class _NoJitter:
+    """Stands in for a colluder's rng so the transmitted point is c(lam) exactly."""
+
+    def standard_normal(self, size):
+        return np.zeros(size)
+
+
+@st.composite
+def crafted_groups(draw):
+    """Colluders' honest rows: free rows, and rows placed at a candidate's
+    crafted point g - lam_k * s (an exact tie with that candidate), some moved
+    one small grid step off it (a near tie)."""
+    m = draw(st.integers(2, 5))
+    d = draw(st.integers(1, 4))
+    kind = Crafted(draw(st.sampled_from([1.0, 2.0, 4.0, 8.0])), draw(st.integers(0, 4)))
+    g = np.array(draw(st.lists(dyadic, min_size=d, max_size=d)))
+    tied = draw(st.integers(0, m - 1))
+    free = np.array(draw(st.lists(st.lists(dyadic, min_size=d, max_size=d),
+                                  min_size=m - tied, max_size=m - tied)))
+    s = np.sign(free.mean(axis=0) - g)
+    lams = [kind.lambda_init * 2.0 ** -draw(st.integers(0, kind.halving_steps))
+            for _ in range(tied)]
+    free += sum(lams) * s  # the tied rows then leave sign(mean - g) at s
+    rows = np.vstack([free] + [g - lam * s for lam in lams])
+    for j in range(m - tied, m):
+        if draw(st.booleans()):
+            rows[j, draw(st.integers(0, d - 1))] += draw(st.sampled_from([-1.0, 1.0])) / 64
+    return g, rows[draw(st.permutations(range(m)))], kind
+
+
+@PROPERTY
+@given(crafted_groups())
+@example((np.zeros(2), np.array([[-1.0, -1.0], [3.0, 3.0], [4.0, 4.0]]), Crafted(4.0, 3)))
+@example((np.zeros(1), np.array([[-2.0], [5.0], [-2.0 - 1 / 64], [6.0]]), Crafted(8.0, 4)))
+def test_crafted_lambda_matches_per_candidate_search(case):
+    g, rows, kind = case
+    s = np.sign(np.mean(rows, axis=0) - g)
+    candidates = [kind.lambda_init * 2.0 ** -k for k in range(kind.halving_steps + 1)]
+    expected = next((i for i, lam in enumerate(candidates)
+                     if oracles.krum_select_oracle([g - lam * s, *rows], len(rows) - 2) == 0),
+                    len(candidates) - 1)
+    votes = []
+
+    def recording_oracle(sq):
+        votes.append(local_krum_oracle(sq))
+        return votes[-1]
+
+    out = attack_crafted(g, list(rows), kind, recording_oracle, [_NoJitter()] * len(rows))
+    picked = len(votes) - 1 if votes[-1] == 0 else len(candidates) - 1
+    assert picked == expected
+    for vec in out:
+        np.testing.assert_array_equal(vec, g - candidates[expected] * s)
