@@ -17,7 +17,6 @@ from .aggregators import (
     run_rule,
 )
 from .attacks import (
-    AttackContext,
     AttackPlan,
     Crafted,
     GaussianNoise,
@@ -51,9 +50,7 @@ from .harness import (
 )
 from .models import ModelSpec, init_params, loss_and_grad, predict_proba
 from .params import (
-    ClientUpdate,
     DistancePair,
-    as_parameter_vector,
     pairwise_distances,
     softmax_weights,
     stack_updates,

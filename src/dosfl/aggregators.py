@@ -1,9 +1,8 @@
 """Server-side aggregation rules: DOS, FedAvg, median, trimmed mean, Krum.
 
-All rules consume a sequence of ClientUpdate and return an AggregationResult
-whose weight vector (when one exists) is aligned to ascending client id.
-Each rule stacks and validates its updates once, with ``stack_updates``, and
-works on that (n, d) matrix from then on.
+Every rule takes one round's (n, d) update matrix, row i from client i, as
+built and checked by ``params.stack_updates``, and returns an
+AggregationResult whose weight vector (when one exists) follows the rows.
 Median and trimmed mean have no faithful per-client attribution, so their
 result carries ``weights=None`` rather than a fabricated vector.
 """
@@ -18,13 +17,7 @@ from scipy.spatial.distance import pdist, squareform
 
 from .copod import dos_outlier_scores
 from .errors import ConfigError
-from .params import (
-    check_weights,
-    pairwise_distances,
-    softmax_weights,
-    stack_updates,
-    weighted_average,
-)
+from .params import pairwise_distances, softmax_weights, weighted_average
 
 AGGREGATOR_KINDS = ("dos", "fedavg", "median", "trimmed_mean", "krum")
 
@@ -81,29 +74,17 @@ class AggregationResult:
     scores: np.ndarray | None = None  # DOS outlier scores, absent otherwise
 
 
-def aggregate_dos(updates) -> AggregationResult:
+def aggregate_dos(mat: np.ndarray) -> AggregationResult:
     """Distance matrices -> COPOD outlier scores -> softmax weights -> average."""
-    _, mat = stack_updates(updates)
     scores = dos_outlier_scores(pairwise_distances(mat))
     weights = softmax_weights(scores)
     new_global = weighted_average(mat, weights)
     return AggregationResult(new_global=new_global, weights=weights, scores=scores)
 
 
-def aggregate_fedavg(updates, alphas=None) -> AggregationResult:
-    """Fixed-weight average; defaults to uniform 1/n."""
-    _, mat = stack_updates(updates)
-    n = mat.shape[0]
-    if alphas is None:
-        w = np.full(n, 1.0 / n)
-    else:
-        w = np.asarray(alphas, dtype=np.float64)
-        if w.size != n:
-            raise ConfigError(f"{n} updates but {w.size} alphas")
-        try:
-            check_weights(w)
-        except ValueError as exc:
-            raise ConfigError(f"invalid fedavg alphas: {exc}") from exc
+def aggregate_fedavg(mat: np.ndarray) -> AggregationResult:
+    """Uniform 1/n average."""
+    w = np.full(mat.shape[0], 1.0 / mat.shape[0])
     return AggregationResult(new_global=weighted_average(mat, w), weights=w)
 
 
@@ -112,18 +93,16 @@ def _sorted_slice_mean(mat: np.ndarray, k: int) -> np.ndarray:
     return np.sort(mat, axis=0)[k : mat.shape[0] - k].mean(axis=0)
 
 
-def aggregate_median(updates) -> AggregationResult:
+def aggregate_median(mat: np.ndarray) -> AggregationResult:
     """Coordinate-wise median as the widest trimmed mean, k = (n - 1) // 2 per
     end; even n averages the central pair.  Bit for bit ``np.median``."""
-    _, mat = stack_updates(updates)
     k = (mat.shape[0] - 1) // 2
     return AggregationResult(new_global=_sorted_slice_mean(mat, k), weights=None)
 
 
-def aggregate_trimmed_mean(updates, trim_fraction: float) -> AggregationResult:
+def aggregate_trimmed_mean(mat: np.ndarray, trim_fraction: float) -> AggregationResult:
     """Per coordinate, drop the floor(trim_fraction * n) smallest and largest
     values and average the rest."""
-    _, mat = stack_updates(updates)
     k = trim_count(trim_fraction, mat.shape[0])
     return AggregationResult(new_global=_sorted_slice_mean(mat, k), weights=None)
 
@@ -139,25 +118,23 @@ def krum_select(sq: np.ndarray, f: int) -> int:
     return int(np.argmin(scores))  # argmin takes the first minimum: lowest row
 
 
-def aggregate_krum(updates, f: int) -> AggregationResult:
-    """Select one update with :func:`krum_select`, in client-id order, over
+def aggregate_krum(mat: np.ndarray, f: int) -> AggregationResult:
+    """Select one row with :func:`krum_select`, in row order, over
     ``pdist``'s squared distances: O(n^2 + n*d) memory, no (n, n, d) tensor."""
-    _, mat = stack_updates(updates)
     pick = krum_select(squareform(pdist(mat, "sqeuclidean")), f)
     weights = np.zeros(mat.shape[0])
     weights[pick] = 1.0
     return AggregationResult(new_global=mat[pick].copy(), weights=weights)
 
 
-def run_rule(spec: AggregatorSpec, updates) -> AggregationResult:
-    """Dispatch an AggregatorSpec against one round's updates."""
-    updates = list(updates)
+def run_rule(spec: AggregatorSpec, mat: np.ndarray) -> AggregationResult:
+    """Dispatch an AggregatorSpec against one round's update matrix."""
     if spec.kind == "dos":
-        return aggregate_dos(updates)
+        return aggregate_dos(mat)
     if spec.kind == "fedavg":
-        return aggregate_fedavg(updates)
+        return aggregate_fedavg(mat)
     if spec.kind == "median":
-        return aggregate_median(updates)
+        return aggregate_median(mat)
     if spec.kind == "trimmed_mean":
-        return aggregate_trimmed_mean(updates, spec.trim_fraction)
-    return aggregate_krum(updates, spec.resolve_krum_f(len(updates)))  # the spec admits no other kind
+        return aggregate_trimmed_mean(mat, spec.trim_fraction)
+    return aggregate_krum(mat, spec.resolve_krum_f(mat.shape[0]))  # the spec admits no other kind

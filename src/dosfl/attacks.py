@@ -1,9 +1,10 @@
 """Byzantine behavior injectors.
 
-Each attacked client's transmitted update is a transformation of (or a
-replacement for) its honest local-training output.  Label flipping is the one
-exception: it poisons the client's training data before any round runs, so
-:func:`apply_attack_plan` passes those clients through untouched.
+:func:`apply_attack_plan` takes a round's honest local-training matrix, row i
+from client i, and returns the transmitted (n, d) update matrix.  Each
+attacked client's row is a transformation of (or a replacement for) its
+honest row.  Label flipping is the one exception: it poisons the client's
+training data before any round runs, so those rows pass through untouched.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from scipy.spatial.distance import pdist, squareform
 from .aggregators import krum_select
 from .data import LabeledDataset
 from .errors import ConfigError
-from .params import ClientUpdate, as_parameter_vector
+from .params import stack_updates
 
 
 @dataclass(frozen=True)
@@ -106,12 +107,11 @@ class AttackPlan:
 def attack_gaussian_noise(honest: np.ndarray, kind: GaussianNoise,
                           rng: np.random.Generator) -> np.ndarray:
     """Pure-noise replacement: the honest parameters only set the dimension."""
-    honest = as_parameter_vector(honest)
     return kind.sigma * rng.standard_normal(honest.size)
 
 
 def attack_scale(honest: np.ndarray, kind: Scale) -> np.ndarray:
-    return kind.factor * as_parameter_vector(honest)
+    return kind.factor * honest
 
 
 def attack_label_flip(dataset: LabeledDataset, kind: LabelFlip,
@@ -141,14 +141,15 @@ def local_krum_oracle(sq: np.ndarray) -> int:
     return krum_select(sq, len(sq) - 3)
 
 
-def attack_crafted(global_prev: np.ndarray, honest_updates_of_malicious, kind: Crafted,
+def attack_crafted(global_prev: np.ndarray, honest: np.ndarray, kind: Crafted,
                    krum_oracle: Callable[[np.ndarray], int] | None,
                    rngs) -> list[np.ndarray]:
     """Directed-deviation attack shared by all colluding clients.
 
     Estimates the benign direction from the colluders' own honest training
-    results, then walks the previous global model against it:
-    c(lam) = g - lam * s with g = global_prev and s = sign(mean(honest) - g).
+    results, the rows of ``honest``, then walks the previous global model
+    against it: c(lam) = g - lam * s with g = global_prev and
+    s = sign(mean(honest) - g).
     The largest lam from {kind.lambda_init * 2^-k} whose crafted point wins the
     local Krum vote, ties included, is kept (smallest candidate if none wins,
     or if no oracle is available).  The vote's squared distances are closed
@@ -157,14 +158,10 @@ def attack_crafted(global_prev: np.ndarray, honest_updates_of_malicious, kind: C
     transmits c(lam) plus Normal(0, (0.01*lam)^2) jitter so the copies are not
     exact duplicates.
     """
-    honest = [as_parameter_vector(h) for h in honest_updates_of_malicious]
-    if not honest:
+    if len(honest) == 0:
         raise ConfigError("crafted attack needs at least one colluder's honest update")
     if len(rngs) != len(honest):
         raise ConfigError(f"{len(honest)} colluders but {len(rngs)} rng streams")
-    global_prev = as_parameter_vector(global_prev)
-    honest = np.stack(honest)
-
     direction = np.sign(np.mean(honest, axis=0) - global_prev)
     candidates = [kind.lambda_init * 2.0 ** -k for k in range(kind.halving_steps + 1)]
     lam = candidates[-1]
@@ -185,55 +182,30 @@ def attack_crafted(global_prev: np.ndarray, honest_updates_of_malicious, kind: C
     return [crafted + 0.01 * lam * rng.standard_normal(crafted.size) for rng in rngs]
 
 
-@dataclass(frozen=True)
-class AttackContext:
-    """Round-scoped inputs the injectors need beyond the honest outputs."""
+def apply_attack_plan(plan: AttackPlan, honest: np.ndarray, global_prev: np.ndarray,
+                      rng_for: Callable[[int], np.random.Generator]) -> np.ndarray:
+    """Turn the round's honest training matrix into its transmitted update matrix.
 
-    rng_for: Callable[[int], np.random.Generator]
-    global_prev: np.ndarray | None = None
-    krum_oracle: Callable[[np.ndarray], int] | None = None
-
-
-def apply_attack_plan(plan: AttackPlan, round_outputs: dict[int, np.ndarray],
-                      context: AttackContext) -> list[ClientUpdate]:
-    """Turn honest per-client training outputs into the transmitted updates.
-
-    Honest and label-flip clients pass through bitwise unchanged (the flip
+    Honest and label-flip rows pass through bitwise unchanged (the flip
     already poisoned their data).  Crafted clients sharing the same parameters
-    collude as one group.
+    collude as one group that reads its members' honest rows.  Client i's
+    attack draws from ``rng_for(i)``.  ``honest`` is not modified.
     """
-    unknown = set(plan.assignments) - set(round_outputs)
-    if unknown:
-        raise ConfigError(f"attack plan names unknown clients: {sorted(unknown)}")
-
-    transmitted: dict[int, np.ndarray] = {}
+    rows = list(honest)
     crafted_groups: dict[Crafted, list[int]] = {}
-    for cid in sorted(round_outputs):
-        kind = plan.kind_for(cid)
+    for cid, kind in sorted(plan.assignments.items()):
         if isinstance(kind, GaussianNoise):
-            transmitted[cid] = attack_gaussian_noise(round_outputs[cid], kind,
-                                                     context.rng_for(cid))
+            rows[cid] = attack_gaussian_noise(honest[cid], kind, rng_for(cid))
         elif isinstance(kind, Scale):
-            transmitted[cid] = attack_scale(round_outputs[cid], kind)
+            rows[cid] = attack_scale(honest[cid], kind)
         elif isinstance(kind, Crafted):
             crafted_groups.setdefault(kind, []).append(cid)
-        else:  # honest or label-flip
-            transmitted[cid] = round_outputs[cid]
 
     for kind, members in crafted_groups.items():
-        if context.global_prev is None:
-            raise ConfigError("crafted attack needs the previous global model in the context")
-        oracle = context.krum_oracle
-        if oracle is None and len(members) >= 2:
-            oracle = local_krum_oracle
-        vectors = attack_crafted(
-            context.global_prev,
-            [round_outputs[cid] for cid in members],
-            kind,
-            oracle,
-            [context.rng_for(cid) for cid in members],
-        )
+        oracle = local_krum_oracle if len(members) >= 2 else None
+        vectors = attack_crafted(global_prev, honest[members], kind, oracle,
+                                 [rng_for(cid) for cid in members])
         for cid, vec in zip(members, vectors):
-            transmitted[cid] = vec
+            rows[cid] = vec
 
-    return [ClientUpdate(cid, transmitted[cid]) for cid in sorted(transmitted)]
+    return stack_updates(rows)

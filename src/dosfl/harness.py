@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .aggregators import AggregatorSpec, krum_neighbors, run_rule, trim_count
-from .attacks import AttackContext, AttackPlan, apply_attack_plan, attack_label_flip
+from .attacks import AttackPlan, apply_attack_plan, attack_label_flip
 from .data import LabeledDataset, make_train_test, partition_iid, partition_label_skew
 from .errors import ConfigError, ExperimentError
 from .models import ModelSpec, init_params, loss_and_grad, predict_proba
@@ -256,11 +256,8 @@ def run_experiment(setup: SimulationSetup) -> list[RoundRecord]:
             honest = local_train(setup.model, theta, shards, setup.train,
                                  [seed_stream(setup.seed, "train", cid, t)
                                   for cid in range(setup.clients)])
-            context = AttackContext(
-                rng_for=lambda cid, _t=t: seed_stream(setup.seed, "attack", cid, _t),
-                global_prev=theta,
-            )
-            updates = apply_attack_plan(setup.plan, dict(enumerate(honest)), context)
+            updates = apply_attack_plan(setup.plan, honest, theta,
+                                        lambda cid: seed_stream(setup.seed, "attack", cid, t))
             result = run_rule(setup.aggregator, updates)
             if result.weights is not None:
                 check_weights(result.weights)

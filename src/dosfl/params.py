@@ -1,11 +1,10 @@
-"""Flat parameter vectors, pairwise distance matrices, and softmax weighting.
+"""One round's update matrix, pairwise distance matrices, and softmax weighting.
 
-Parameter vectors are plain 1-D float64 numpy arrays validated by
-:func:`as_parameter_vector`.  :func:`stack_updates` is the one place that
-sorts a round's updates by client id, checks them against each other and
-stacks them into an (n, d) matrix; the matrix kernels here take that matrix,
-so a rule stacks and validates its updates once per round.  All functions are
-pure; matrix rows and columns are always ordered by ascending client id.
+Between local training and aggregation a round's updates exist only as an
+(n, d) float64 matrix whose row i is client i's transmitted parameter vector.
+:func:`stack_updates` builds that matrix and is the one place it is checked;
+the kernels here and every aggregation rule take it as given.  All functions
+are pure; matrix rows and columns are always ordered by client index.
 """
 
 from __future__ import annotations
@@ -18,33 +17,6 @@ from scipy.spatial.distance import pdist, squareform
 from .errors import ConfigError, DimensionError, NumericError
 
 
-def as_parameter_vector(values) -> np.ndarray:
-    """Validate and return a flat float64 parameter vector.
-
-    Rejects empty vectors and any non-finite entry (attacks inject
-    large-but-finite values, never NaN/Inf).
-    """
-    vec = np.asarray(values, dtype=np.float64)
-    if vec.ndim != 1 or vec.size < 1:
-        raise DimensionError(f"parameter vector must be 1-D and non-empty, got shape {vec.shape}")
-    if not np.all(np.isfinite(vec)):
-        raise NumericError("parameter vector contains NaN or Inf")
-    return vec
-
-
-@dataclass(frozen=True)
-class ClientUpdate:
-    """One client's transmitted flat parameter vector for a round."""
-
-    client_id: int
-    params: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "params", as_parameter_vector(self.params))
-        if self.client_id < 0:
-            raise ConfigError(f"client_id must be >= 0, got {self.client_id}")
-
-
 @dataclass(frozen=True)
 class DistancePair:
     """Euclidean and cosine pairwise distance matrices over one round's updates."""
@@ -53,29 +25,30 @@ class DistancePair:
     cosine: np.ndarray
 
 
-def stack_updates(updates) -> tuple[list[int], np.ndarray]:
-    """Sort updates by client id and stack their vectors into an (n, d) matrix.
+def stack_updates(rows) -> np.ndarray:
+    """Stack one round's update vectors, row i from client i, into an (n, d) matrix.
 
-    Raises on duplicate ids or mismatched dimensions.
+    Raises unless there is at least one row, every row is 1-D of one non-zero
+    length, and every entry is finite; the error names the offending clients.
     """
-    ups = sorted(updates, key=lambda u: u.client_id)
-    if not ups:
+    if len(rows) == 0:
         raise ConfigError("no client updates given")
-    ids = [u.client_id for u in ups]
-    if len(set(ids)) != len(ids):
-        raise ConfigError(f"duplicate client ids in update set: {ids}")
-    dim = ups[0].params.size
-    for u in ups:
-        if u.params.size != dim:
-            raise DimensionError(
-                f"client {u.client_id} has dimension {u.params.size}, expected {dim}"
-            )
-    return ids, np.stack([u.params for u in ups])
+    shape = np.shape(rows[0])
+    if len(shape) != 1 or shape[0] < 1:
+        raise DimensionError(f"updates must be 1-D and non-empty, got shape {shape}")
+    ragged = [i for i, row in enumerate(rows) if np.shape(row) != shape]
+    if ragged:
+        raise DimensionError(f"updates of clients {ragged} differ in shape from {shape}")
+    mat = np.stack(rows).astype(np.float64, copy=False)
+    bad = np.flatnonzero(~np.isfinite(mat).all(axis=1))
+    if bad.size:
+        raise NumericError(f"updates of clients {bad.tolist()} contain NaN or Inf")
+    return mat
 
 
 def pairwise_distances(mat: np.ndarray) -> DistancePair:
     """Compute the n x n Euclidean and cosine distance matrices of the rows
-    of a matrix stacked by :func:`stack_updates`.
+    of a round's update matrix.
 
     Both come from ``scipy.spatial.distance.pdist``, which loops over the row
     pairs in C without a BLAS call or an (n, n, d) temporary.  Both matrices
@@ -139,8 +112,7 @@ def check_weights(w: np.ndarray, tol: float = 1e-9) -> np.ndarray:
 def weighted_average(mat: np.ndarray, weights) -> np.ndarray:
     """Coordinate-wise convex combination sum_i w_i * mat[i].
 
-    ``mat`` is stacked by :func:`stack_updates`, so ``weights[k]`` applies to
-    the k-th smallest client id.
+    ``weights[k]`` applies to row k of ``mat``, client k's update.
     """
     w = check_weights(weights)
     if w.size != mat.shape[0]:

@@ -23,7 +23,7 @@ from dosfl.config import ExperimentConfig, expand_groups, with_overrides
 from dosfl.copod import copod_scores, dos_outlier_scores
 from dosfl.harness import run_experiment
 from dosfl.models import ModelSpec, loss_and_grad
-from dosfl.params import ClientUpdate, pairwise_distances, softmax_weights, stack_updates
+from dosfl.params import pairwise_distances, softmax_weights
 
 from .oracles import copod_scores_oracle, krum_select_oracle, median_oracle, \
     trimmed_mean_oracle
@@ -164,14 +164,13 @@ def test_aggregators_match_bruteforce_oracles():
         n = int(rng.integers(3, 8))
         d = int(rng.integers(1, 5))
         mat = np.round(rng.standard_normal((n, d)) * 4, 2)
-        ups = [ClientUpdate(i, row) for i, row in enumerate(mat)]
-        np.testing.assert_array_equal(aggregate_median(ups).new_global, median_oracle(mat))
+        np.testing.assert_array_equal(aggregate_median(mat).new_global, median_oracle(mat))
         tf = float(rng.uniform(0, 0.45))
         if n - 2 * int(np.floor(tf * n)) >= 1:
-            np.testing.assert_array_equal(aggregate_trimmed_mean(ups, tf).new_global,
+            np.testing.assert_array_equal(aggregate_trimmed_mean(mat, tf).new_global,
                                           trimmed_mean_oracle(mat, tf))
         f = int(rng.integers(0, n - 2))
-        np.testing.assert_array_equal(aggregate_krum(ups, f).new_global,
+        np.testing.assert_array_equal(aggregate_krum(mat, f).new_global,
                                       mat[krum_select_oracle(mat, f)])
         checked += 1
     assert report(checked == 100, f"median/trimmed/krum match oracles on {checked} instances")
@@ -189,11 +188,9 @@ def test_property_suite(tmp_path):
 
     # DOS weight invariance under global positive rescaling
     mat = rng.standard_normal((7, 6))
-    ups = [ClientUpdate(i, v) for i, v in enumerate(mat)]
-    w0 = softmax_weights(dos_outlier_scores(pairwise_distances(stack_updates(ups)[1])))
+    w0 = softmax_weights(dos_outlier_scores(pairwise_distances(mat)))
     for alpha in (0.5, 42.0):
-        scaled = [ClientUpdate(i, alpha * v) for i, v in enumerate(mat)]
-        w1 = softmax_weights(dos_outlier_scores(pairwise_distances(stack_updates(scaled)[1])))
+        w1 = softmax_weights(dos_outlier_scores(pairwise_distances(alpha * mat)))
         ok &= bool(np.allclose(w0, w1, atol=1e-12))
 
     # COPOD invariance under positive-affine per-column maps
@@ -201,12 +198,11 @@ def test_property_suite(tmp_path):
     t = 3.0 * m + 0.7
     ok &= bool(np.allclose(copod_scores(t), copod_scores(m), atol=1e-12))
 
-    # permutation equivariance: scores follow rows, aggregate ignores order
+    # permutation equivariance: scores and weights follow the rows
     perm = rng.permutation(7)
     ok &= bool(np.allclose(copod_scores(mat[perm]), copod_scores(mat)[perm]))
-    shuffled = [ups[i] for i in perm]
     ok &= bool(np.allclose(
-        softmax_weights(dos_outlier_scores(pairwise_distances(stack_updates(shuffled)[1]))), w0))
+        softmax_weights(dos_outlier_scores(pairwise_distances(mat[perm]))), w0[perm]))
 
     # partition conservation
     from dosfl.data import generate_synthetic, partition_iid, partition_label_skew

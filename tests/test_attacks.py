@@ -3,7 +3,6 @@ import pytest
 
 from dosfl.aggregators import krum_select
 from dosfl.attacks import (
-    AttackContext,
     AttackPlan,
     Crafted,
     GaussianNoise,
@@ -104,8 +103,8 @@ def test_local_krum_oracle_needs_three_vectors():
 
 def test_crafted_moves_against_benign_direction():
     prev = np.zeros(4)
-    honest = [np.array([1.0, 2.0, -1.0, 0.5]) + 0.01 * rng_of(i).standard_normal(4)
-              for i in range(3)]
+    honest = np.array([[1.0, 2.0, -1.0, 0.5] + 0.01 * rng_of(i).standard_normal(4)
+                       for i in range(3)])
     out = attack_crafted(prev, honest, Crafted(2.0, 4), None, [rng_of(10), rng_of(11), rng_of(12)])
     s = np.sign(np.mean(honest, axis=0) - prev)
     for crafted in out:
@@ -116,11 +115,11 @@ def test_crafted_moves_against_benign_direction():
 
 def test_crafted_lambda_search_matches_bruteforce():
     prev = np.zeros(1)
-    honest = [np.array([1.0]), np.array([1.1]), np.array([0.9])]
+    honest = np.array([[1.0], [1.1], [0.9]])
     candidates = [8.0 * 2.0 ** -k for k in range(7)]
     expect = None
     for lam in candidates:
-        if krum_select_oracle([prev - lam * np.sign(np.mean(honest) - prev)] + honest, 1) == 0:
+        if krum_select_oracle([prev - lam * np.sign(np.mean(honest) - prev), *honest], 1) == 0:
             expect = lam
             break
     if expect is None:
@@ -135,7 +134,7 @@ def test_crafted_lambda_search_matches_bruteforce():
     out = attack_crafted(prev, honest, Crafted(8.0, 6), krum_oracle_f1,
                          [rng_of(1), rng_of(2), rng_of(3)])
     for lam, sq in zip(candidates, seen):
-        rows = [prev - lam * np.sign(np.mean(honest) - prev)] + honest
+        rows = [prev - lam * np.sign(np.mean(honest) - prev), *honest]
         np.testing.assert_allclose(sq, [[np.sum((a - b) ** 2) for b in rows] for a in rows],
                                    rtol=1e-12, atol=1e-12)
     assert len(seen) == candidates.index(expect) + 1
@@ -148,7 +147,7 @@ def test_crafted_oracle_matrix_is_clamped_at_zero():
     # closed form rounds to -2.2e-16 before the clamp.
     prev = np.array([2.7, 0.4, -0.4])
     s = np.array([-1.0, -1.0, 1.0])
-    honest = [prev - 0.625 * s, prev + 3.0 * s, prev + 3.0 * s]
+    honest = np.array([prev - 0.625 * s, prev + 3.0 * s, prev + 3.0 * s])
     seen = []
 
     def oracle(sq):
@@ -164,7 +163,7 @@ def test_crafted_oracle_matrix_is_clamped_at_zero():
 
 def test_crafted_single_candidate():
     prev = np.zeros(2)
-    honest = [np.ones(2), np.ones(2) * 1.2]
+    honest = np.array([np.ones(2), np.ones(2) * 1.2])
     out = attack_crafted(prev, honest, Crafted(4.0, 0), lambda vs: 5, [rng_of(4), rng_of(5)])
     for crafted in out:
         np.testing.assert_allclose(crafted, -4.0 * np.ones(2), atol=0.2)
@@ -172,58 +171,48 @@ def test_crafted_single_candidate():
 
 def test_crafted_requires_matching_rngs():
     with pytest.raises(ConfigError):
-        attack_crafted(np.zeros(2), [np.ones(2)], Crafted(1.0, 2), None, [])
+        attack_crafted(np.zeros(2), np.ones((1, 2)), Crafted(1.0, 2), None, [])
 
 
-def make_context(seed=0, prev=None):
-    return AttackContext(rng_for=lambda cid: np.random.default_rng((seed, cid)),
-                         global_prev=prev)
+def apply_plan(plan, honest, seed=0):
+    """apply_attack_plan from a zero global model, checking that it neither
+    modifies nor aliases ``honest``."""
+    before = honest.copy()
+    out = apply_attack_plan(plan, honest, np.zeros(honest.shape[1]),
+                            lambda cid: np.random.default_rng((seed, cid)))
+    np.testing.assert_array_equal(honest, before)
+    assert not np.shares_memory(out, honest)
+    return out
 
 
 def test_apply_plan_empty_is_identity():
-    outputs = {i: np.array([float(i), 1.0]) for i in range(4)}
-    ups = apply_attack_plan(AttackPlan(), outputs, make_context())
-    assert [u.client_id for u in ups] == [0, 1, 2, 3]
-    for u in ups:
-        np.testing.assert_array_equal(u.params, outputs[u.client_id])
+    honest = np.array([[float(i), 1.0] for i in range(4)])
+    np.testing.assert_array_equal(apply_plan(AttackPlan(), honest), honest)
 
 
 def test_apply_plan_scale_only_touches_target():
-    outputs = {i: np.array([1.0 + i, -2.0]) for i in range(5)}
-    plan = AttackPlan(assignments={3: Scale(100.0)})
-    ups = apply_attack_plan(plan, outputs, make_context())
-    for u in ups:
-        if u.client_id == 3:
-            np.testing.assert_allclose(u.params, 100.0 * outputs[3])
-        else:
-            np.testing.assert_array_equal(u.params, outputs[u.client_id])
+    honest = np.array([[1.0 + i, -2.0] for i in range(5)])
+    out = apply_plan(AttackPlan(assignments={3: Scale(100.0)}), honest)
+    np.testing.assert_allclose(out[3], 100.0 * honest[3])
+    np.testing.assert_array_equal(np.delete(out, 3, axis=0), np.delete(honest, 3, axis=0))
 
 
 def test_apply_plan_mix_noise_and_label_flip():
     # label-flip clients pass through here: the flip poisons training data,
     # not the transmitted vector
-    outputs = {i: np.full(3, float(i)) for i in range(10)}
+    honest = np.array([np.full(3, float(i)) for i in range(10)])
     plan = AttackPlan(assignments={9: GaussianNoise(1.0), 8: GaussianNoise(1.0),
                                    7: LabelFlip(), 6: LabelFlip()})
-    ups = apply_attack_plan(plan, outputs, make_context())
-    replaced = [u.client_id for u in ups
-                if not np.array_equal(u.params, outputs[u.client_id])]
+    out = apply_plan(plan, honest)
+    replaced = [i for i in range(10) if not np.array_equal(out[i], honest[i])]
     assert replaced == [8, 9]
-
-
-def test_apply_plan_unknown_client():
-    outputs = {0: np.ones(2), 1: np.ones(2)}
-    plan = AttackPlan(assignments={5: Scale(2.0)})
-    with pytest.raises(ConfigError):
-        apply_attack_plan(plan, outputs, make_context())
 
 
 def test_apply_plan_crafted_group_colludes():
     rng = np.random.default_rng(0)
-    outputs = {i: np.ones(6) + 0.05 * rng.standard_normal(6) for i in range(10)}
+    honest = np.ones((10, 6)) + 0.05 * rng.standard_normal((10, 6))
     plan = AttackPlan(assignments={i: Crafted(2.0, 4) for i in (6, 7, 8, 9)})
-    ups = apply_attack_plan(plan, outputs, make_context(prev=np.zeros(6)))
-    crafted = np.stack([u.params for u in ups if u.client_id >= 6])
+    crafted = apply_plan(plan, honest)[6:]
     # colluders transmit near-identical copies (jitter only)
     assert np.ptp(crafted, axis=0).max() < 0.5
     # and they moved below the previous global, against the upward benign drift
@@ -231,12 +220,10 @@ def test_apply_plan_crafted_group_colludes():
 
 
 def test_apply_plan_deterministic():
-    outputs = {i: np.full(4, float(i + 1)) for i in range(6)}
+    honest = np.array([np.full(4, float(i + 1)) for i in range(6)])
     plan = AttackPlan(assignments={5: GaussianNoise(2.0), 4: Crafted(1.0, 3)})
-    a = apply_attack_plan(plan, outputs, make_context(seed=3, prev=np.zeros(4)))
-    b = apply_attack_plan(plan, outputs, make_context(seed=3, prev=np.zeros(4)))
-    for ua, ub in zip(a, b):
-        np.testing.assert_array_equal(ua.params, ub.params)
+    np.testing.assert_array_equal(apply_plan(plan, honest, seed=3),
+                                  apply_plan(plan, honest, seed=3))
 
 
 def test_kind_validation():

@@ -467,6 +467,16 @@ def test_failing_round_is_named():
         run_experiment(small_setup(plan=plan))
 
 
+def test_overflowing_update_names_its_client():
+    # fedavg passes round 0's huge but finite average on; in round 1 client 3's
+    # scaled row overflows to inf, and the error says whose row it is
+    setup = small_setup(plan=AttackPlan(assignments={3: Scale(1e300)}),
+                        aggregator=AggregatorSpec(kind="fedavg"))
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(ExperimentError, match=r"round 1 .*clients \[3\]"):
+            run_experiment(setup)
+
+
 def test_setup_validation():
     with pytest.raises(ConfigError):
         small_setup(clients=1)

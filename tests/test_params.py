@@ -5,8 +5,6 @@ import pytest
 
 from dosfl.errors import ConfigError, DimensionError, NumericError
 from dosfl.params import (
-    ClientUpdate,
-    as_parameter_vector,
     pairwise_distances,
     softmax_weights,
     stack_updates,
@@ -20,17 +18,22 @@ def vec(*xs):
     return np.asarray(xs, dtype=float)
 
 
-def updates_of(values):
-    return [ClientUpdate(i, np.atleast_1d(np.asarray(v, dtype=float))) for i, v in enumerate(values)]
+def matrix_of(values):
+    """One update row per entry of ``values``; a scalar entry is a 1-D row."""
+    return np.array([np.atleast_1d(np.asarray(v, dtype=float)) for v in values])
 
 
-def test_parameter_vector_rejects_nonfinite():
-    with pytest.raises(NumericError):
-        as_parameter_vector([1.0, np.nan])
-    with pytest.raises(NumericError):
-        as_parameter_vector([np.inf])
+def test_stack_updates_rejects_bad_rows():
+    with pytest.raises(NumericError, match=r"clients \[1\]"):
+        stack_updates([vec(1, 2), vec(1, np.nan), vec(3, 4)])
+    with pytest.raises(NumericError, match=r"clients \[0, 2\]"):
+        stack_updates([vec(np.inf, 0), vec(1, 2), vec(0, -np.inf)])
+    with pytest.raises(DimensionError, match=r"clients \[1\]"):
+        stack_updates([vec(1, 2), vec(1, 2, 3)])
     with pytest.raises(DimensionError):
-        as_parameter_vector([])
+        stack_updates([vec(), vec()])
+    with pytest.raises(ConfigError):
+        stack_updates([])
 
 
 def distances_of(*rows):
@@ -47,8 +50,7 @@ def test_euclidean_examples():
 
 def test_euclidean_dimension_error():
     with pytest.raises(DimensionError):
-        pairwise_distances(stack_updates([ClientUpdate(0, vec(1, 2)),
-                                          ClientUpdate(1, vec(1, 2, 3))])[1])
+        pairwise_distances(stack_updates([vec(1, 2), vec(1, 2, 3)]))
 
 
 def test_cosine_examples():
@@ -84,13 +86,13 @@ def test_cosine_scale_invariance():
 
 
 def test_pairwise_identical_updates():
-    dp = pairwise_distances(stack_updates(updates_of([[1.0, 2.0], [1.0, 2.0]]))[1])
+    dp = pairwise_distances(matrix_of([[1.0, 2.0], [1.0, 2.0]]))
     assert np.all(dp.euclidean == 0.0)
     assert np.all(dp.cosine == 0.0)
 
 
 def test_pairwise_three_scalar_clients():
-    dp = pairwise_distances(stack_updates(updates_of([0.0, 1.0, 3.0]))[1])
+    dp = pairwise_distances(matrix_of([0.0, 1.0, 3.0]))
     expected = np.array([[0, 1, 3], [1, 0, 2], [3, 2, 0]], dtype=float)
     np.testing.assert_allclose(dp.euclidean, expected)
 
@@ -99,8 +101,7 @@ def test_pairwise_matrix_invariants_random():
     rng = np.random.default_rng(2)
     for _ in range(20):
         n = rng.integers(2, 8)
-        ups = updates_of(rng.standard_normal((n, 5)))
-        dp = pairwise_distances(stack_updates(ups)[1])
+        dp = pairwise_distances(rng.standard_normal((n, 5)))
         for m in (dp.euclidean, dp.cosine):
             np.testing.assert_allclose(m, m.T)
             assert np.all(np.diag(m) == 0.0)
@@ -110,13 +111,7 @@ def test_pairwise_matrix_invariants_random():
 
 def test_pairwise_needs_two_updates():
     with pytest.raises(ConfigError):
-        pairwise_distances(stack_updates(updates_of([[1.0, 2.0]]))[1])
-
-
-def test_pairwise_rejects_duplicate_ids():
-    ups = [ClientUpdate(0, vec(1.0)), ClientUpdate(0, vec(2.0))]
-    with pytest.raises(ConfigError):
-        pairwise_distances(stack_updates(ups)[1])
+        pairwise_distances(matrix_of([[1.0, 2.0]]))
 
 
 def test_softmax_constant_scores_uniform():
@@ -156,28 +151,27 @@ def test_softmax_rejects_nonfinite():
 
 
 def test_weighted_average_identical_updates():
-    ups = updates_of([[2.0, -1.0]] * 3)
-    np.testing.assert_allclose(weighted_average(stack_updates(ups)[1], [0.2, 0.5, 0.3]), [2.0, -1.0])
+    mat = matrix_of([[2.0, -1.0]] * 3)
+    np.testing.assert_allclose(weighted_average(mat, [0.2, 0.5, 0.3]), [2.0, -1.0])
 
 
 def test_weighted_average_scalar_examples():
-    ups = updates_of([0.0, 10.0])
-    assert weighted_average(stack_updates(ups)[1], [0.5, 0.5])[0] == pytest.approx(5.0)
-    assert weighted_average(stack_updates(ups)[1], [0.9, 0.1])[0] == pytest.approx(1.0)
+    mat = matrix_of([0.0, 10.0])
+    assert weighted_average(mat, [0.5, 0.5])[0] == pytest.approx(5.0)
+    assert weighted_average(mat, [0.9, 0.1])[0] == pytest.approx(1.0)
 
 
 def test_weighted_average_length_mismatch():
     with pytest.raises(DimensionError):
-        weighted_average(stack_updates(updates_of([0.0, 1.0]))[1], [1.0])
+        weighted_average(matrix_of([0.0, 1.0]), [1.0])
 
 
 def test_weighted_average_convex_hull():
     rng = np.random.default_rng(5)
     for _ in range(30):
         mat = rng.standard_normal((5, 4))
-        ups = updates_of(mat)
         w = softmax_weights(rng.uniform(0, 3, 5))
-        avg = weighted_average(stack_updates(ups)[1], w)
+        avg = weighted_average(mat, w)
         assert np.all(avg >= mat.min(axis=0) - 1e-12)
         assert np.all(avg <= mat.max(axis=0) + 1e-12)
 
@@ -186,9 +180,7 @@ def test_weighted_average_permutation_equivariant():
     rng = np.random.default_rng(6)
     mat = rng.standard_normal((6, 3))
     w = softmax_weights(rng.uniform(0, 2, 6))
-    ups = updates_of(mat)
-    base = weighted_average(stack_updates(ups)[1], w)
-    # shuffling the update sequence must not matter: weights follow client id
+    base = weighted_average(mat, w)
+    # permuting the rows together with their weights must not matter
     perm = rng.permutation(6)
-    shuffled = [ups[i] for i in perm]
-    np.testing.assert_allclose(weighted_average(stack_updates(shuffled)[1], w), base)
+    np.testing.assert_allclose(weighted_average(mat[perm], w[perm]), base)

@@ -11,7 +11,7 @@ from scipy.spatial.distance import pdist, squareform
 from dosfl.aggregators import aggregate_krum, aggregate_median, krum_select
 from dosfl.attacks import Crafted, attack_crafted, local_krum_oracle
 from dosfl.copod import copod_scores
-from dosfl.params import ClientUpdate, pairwise_distances
+from dosfl.params import pairwise_distances
 
 from . import oracles
 
@@ -47,7 +47,7 @@ def test_copod_matches_oracle_on_ties_constants_and_scales(m):
 def test_median_matches_np_median_and_oracle(m):
     # n runs from 2 to 12, so both parities; integer entries and constant
     # columns repeat values within a column
-    got = aggregate_median([ClientUpdate(i, v) for i, v in enumerate(m)]).new_global
+    got = aggregate_median(m).new_global
     np.testing.assert_array_equal(got, np.median(m, axis=0))
     np.testing.assert_array_equal(got, oracles.median_oracle(m))
 
@@ -119,7 +119,7 @@ def krum_cases(draw):
 @given(krum_cases())
 def test_krum_matches_oracle(case):
     m, f = case
-    result = aggregate_krum([ClientUpdate(i, v) for i, v in enumerate(m)], f)
+    result = aggregate_krum(m, f)
     expected = oracles.krum_select_oracle(m.tolist(), f)
     assert int(np.argmax(result.weights)) == expected
     np.testing.assert_array_equal(result.new_global, m[expected])
@@ -182,7 +182,7 @@ def test_crafted_lambda_matches_per_candidate_search(case):
         votes.append(local_krum_oracle(sq))
         return votes[-1]
 
-    out = attack_crafted(g, list(rows), kind, recording_oracle, [_NoJitter()] * len(rows))
+    out = attack_crafted(g, rows, kind, recording_oracle, [_NoJitter()] * len(rows))
     picked = len(votes) - 1 if votes[-1] == 0 else len(candidates) - 1
     assert picked == expected
     for vec in out:
