@@ -88,9 +88,6 @@ class AttackPlan:
 
     assignments: dict[int, AttackKind] = field(default_factory=dict)
 
-    def kind_for(self, client_id: int) -> AttackKind | None:
-        return self.assignments.get(client_id)
-
     def kind_name_for(self, client_id: int) -> str:
         return kind_name(self.assignments.get(client_id))
 
