@@ -8,13 +8,16 @@ client i's honest training never depends on what other clients do.
 
 Local SGD is one batched call per round: the clients' parameters are rows of
 an (n, P) matrix, and the clients whose current batch has the same size take
-their step together, with bitwise the arithmetic of a per-client loop.
+their step together, with bitwise the arithmetic of a per-client loop.  The
+step's gradients land in one (n, P) buffer allocated per call and reused by
+every step, so training makes no (n, P) temporary per step.
 Evaluation reads every one-vs-rest and pairwise Mann-Whitney U from one
 stable argsort per probability column, exactly, as integer counts.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 from dataclasses import dataclass, field
 
@@ -25,13 +28,6 @@ from .attacks import AttackPlan, apply_attack_plan, attack_label_flip
 from .data import LabeledDataset, make_train_test, partition_iid, partition_label_skew
 from .errors import ConfigError, ExperimentError
 from .models import ModelSpec, init_params, loss_and_grad, predict_proba
-from .params import check_weights
-
-# Parameter bytes one batched training step works on at a time, sized to a
-# 2 MiB per-core L2 cache.  On the 105004-parameter mlp1, chunks of 2 rows
-# (1.7 MB) trained 10 clients in 44 ms, against 51 ms with all 10 rows
-# stacked and 53 ms with chunks of 4.  Chunking changes no arithmetic.
-TRAIN_CHUNK_BYTES = 2 * 2 ** 20
 
 
 @dataclass(frozen=True)
@@ -73,8 +69,14 @@ class RoundRecord:
 def seed_stream(master_seed: int, purpose: str, client: int = 0,
                 round_index: int = 0) -> np.random.Generator:
     """Independent generator keyed by (master seed, purpose, client, round)."""
-    tag = int.from_bytes(hashlib.sha256(purpose.encode()).digest()[:8], "big")
-    return np.random.default_rng(np.random.SeedSequence([master_seed, tag, client, round_index]))
+    return np.random.default_rng(
+        np.random.SeedSequence([master_seed, _purpose_tag(purpose), client, round_index]))
+
+
+@functools.cache
+def _purpose_tag(purpose: str) -> int:
+    """First 8 bytes of the purpose's sha256, big-endian: the stream key's tag."""
+    return int.from_bytes(hashlib.sha256(purpose.encode()).digest()[:8], "big")
 
 
 def local_train(model: ModelSpec, params: np.ndarray, shards: list[LabeledDataset],
@@ -85,8 +87,9 @@ def local_train(model: ModelSpec, params: np.ndarray, shards: list[LabeledDatase
     permutation per epoch from ``rngs[i]``; row i of the returned (n, P)
     matrix is its new parameter vector.  All clients advance one batch per
     step.  Those whose batch at that step has the same size share one
-    ``loss_and_grad`` call, in chunks of at most ``TRAIN_CHUNK_BYTES`` of
-    parameter rows, and each row gets bitwise the update a per-client loop
+    ``loss_and_grad`` call, which writes their gradients into the leading
+    rows of one (n, P) buffer; the buffer is scaled by the learning rate in
+    place and subtracted.  Each row gets bitwise the update a per-client loop
     would give it.
     """
     if params.size != model.param_count:
@@ -103,21 +106,21 @@ def local_train(model: ModelSpec, params: np.ndarray, shards: list[LabeledDatase
                         for order in orders for at in range(0, m, cfg.batch_size)])
         offset += m
     thetas = np.tile(params, (len(shards), 1))
-    chunk = max(1, TRAIN_CHUNK_BYTES // thetas[0].nbytes)
+    grad = np.empty_like(thetas)
     for step in range(max(len(b) for b in batches)):
         by_size: dict[int, list[int]] = {}
         for cid, b in enumerate(batches):
             if step < len(b):
                 by_size.setdefault(len(b[step]), []).append(cid)
-        for cids in by_size.values():
-            for at in range(0, len(cids), chunk):
-                group = cids[at:at + chunk]
-                idx = np.stack([batches[cid][step] for cid in group])
-                # consecutive ids index a view of the rows instead of a copy
-                rows = (slice(group[0], group[-1] + 1)
-                        if group[-1] - group[0] == len(group) - 1 else group)
-                _, grad = loss_and_grad(model, thetas[rows], features[idx], labels[idx])
-                thetas[rows] -= cfg.learning_rate * grad
+        for group in by_size.values():
+            idx = np.stack([batches[cid][step] for cid in group])
+            # consecutive ids index a view of the rows instead of a copy
+            rows = (slice(group[0], group[-1] + 1)
+                    if group[-1] - group[0] == len(group) - 1 else group)
+            _, g = loss_and_grad(model, thetas[rows], features[idx], labels[idx],
+                                 out=grad[:len(group)])
+            g *= cfg.learning_rate  # bitwise lr * g: IEEE products commute
+            thetas[rows] -= g
     return thetas
 
 
@@ -259,8 +262,6 @@ def run_experiment(setup: SimulationSetup) -> list[RoundRecord]:
             updates = apply_attack_plan(setup.plan, honest, theta,
                                         lambda cid: seed_stream(setup.seed, "attack", cid, t))
             result = run_rule(setup.aggregator, updates)
-            if result.weights is not None:
-                check_weights(result.weights)
             theta = result.new_global
             metrics = evaluate(setup.model, theta, test)
         except Exception as exc:

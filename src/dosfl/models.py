@@ -5,11 +5,14 @@ layer ReLU perceptron.  Parameters live in a single flat float64 vector so
 aggregation rules never see layer structure; pack order is W1, b1, (W2, b2).
 ``loss_and_grad`` takes a (k, P) stack of such vectors, one per client, with
 a batch per row, and applies the single-model op sequence along that leading
-axis; each row's gradient is bitwise the single-model one.
+axis; each row's gradient is bitwise the single-model one.  It writes the
+gradient into a caller's buffer when given one, so a training loop makes no
+(k, P) temporary per step.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -66,7 +69,7 @@ def unpack(spec: ModelSpec, flat: np.ndarray) -> list[np.ndarray]:
     out = []
     at = 0
     for shape in spec.layer_shapes():
-        size = int(np.prod(shape))
+        size = math.prod(shape)
         out.append(flat[..., at:at + size].reshape(*lead, *shape))
         at += size
     return out
@@ -86,7 +89,8 @@ def predict_proba(spec: ModelSpec, flat: np.ndarray, features: np.ndarray) -> np
 
 
 def loss_and_grad(spec: ModelSpec, flat: np.ndarray, features: np.ndarray,
-                  labels: np.ndarray) -> tuple[np.ndarray | float, np.ndarray]:
+                  labels: np.ndarray,
+                  out: np.ndarray | None = None) -> tuple[np.ndarray | float, np.ndarray]:
     """Mean softmax cross-entropy per model and its flat gradient.
 
     ``flat`` is (k, P), ``features`` (k, b, q) and ``labels`` (k, b): k models,
@@ -95,16 +99,25 @@ def loss_and_grad(spec: ModelSpec, flat: np.ndarray, features: np.ndarray,
     a float and a (P,) gradient back.  Every product is a per-model matmul
     (``X @ W.transpose(0, 2, 1)``, never ``(W @ X^T)^T``), so row i is bitwise
     what the same op sequence gives on model i alone.
+
+    ``out``, a C-contiguous float64 array of the gradient's shape, receives
+    each layer's gradient in its slice and is returned as the gradient; the
+    values are bitwise those of the allocating call.
     """
+    if out is None:
+        out = np.empty(flat.shape)
+    elif out.shape != flat.shape or out.dtype != np.float64 or not out.flags.c_contiguous:
+        raise DimensionError(f"out must be a C-contiguous float64 array of shape {flat.shape}")
     single = flat.ndim == 1
     if single:
         flat, features, labels = flat[None], features[None], labels[None]
-    k, m = labels.shape
+    grads = unpack(spec, out.reshape(flat.shape))  # layer views of the gradient rows
     if spec.kind == "logistic":
         w, b = unpack(spec, flat)
         loss, probs = _ce_loss(features @ w.transpose(0, 2, 1) + b[:, None], labels)
         delta = _output_delta(probs, labels)
-        grads = [delta.transpose(0, 2, 1) @ features, delta.sum(axis=1)]
+        np.matmul(delta.transpose(0, 2, 1), features, out=grads[0])
+        delta.sum(axis=1, out=grads[1])
     else:
         w1, b1, w2, b2 = unpack(spec, flat)
         pre = features @ w1.transpose(0, 2, 1) + b1[:, None]
@@ -112,12 +125,13 @@ def loss_and_grad(spec: ModelSpec, flat: np.ndarray, features: np.ndarray,
         loss, probs = _ce_loss(hidden @ w2.transpose(0, 2, 1) + b2[:, None], labels)
         delta = _output_delta(probs, labels)
         d_hidden = (delta @ w2) * (pre > 0.0)
-        grads = [d_hidden.transpose(0, 2, 1) @ features, d_hidden.sum(axis=1),
-                 delta.transpose(0, 2, 1) @ hidden, delta.sum(axis=1)]
-    grad = np.concatenate([g.reshape(k, -1) for g in grads], axis=1)
+        np.matmul(d_hidden.transpose(0, 2, 1), features, out=grads[0])
+        d_hidden.sum(axis=1, out=grads[1])
+        np.matmul(delta.transpose(0, 2, 1), hidden, out=grads[2])
+        delta.sum(axis=1, out=grads[3])
     if single:
-        return float(loss[0]), grad[0]
-    return loss, grad
+        return float(loss[0]), out
+    return loss, out
 
 
 def _output_delta(probs: np.ndarray, labels: np.ndarray) -> np.ndarray:

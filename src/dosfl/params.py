@@ -84,7 +84,9 @@ def softmax_weights(scores) -> np.ndarray:
     """Map outlier scores r to weights w_i = exp(-r_i) / sum_j exp(-r_j).
 
     The max score is subtracted before exponentiation: crafted attacks can
-    produce large scores and the shift does not change the result.
+    produce large scores and the shift does not change the result.  Finite
+    scores give finite weights in [0, 1] that sum to 1, so the result is not
+    re-checked here; :func:`weighted_average` checks the weights it is given.
     """
     r = np.asarray(scores, dtype=np.float64)
     if r.ndim != 1 or r.size < 1:
@@ -92,9 +94,7 @@ def softmax_weights(scores) -> np.ndarray:
     if not np.all(np.isfinite(r)):
         raise NumericError("outlier scores contain NaN or Inf")
     z = np.exp(-(r - r.min()))
-    w = z / z.sum()
-    check_weights(w)
-    return w
+    return z / z.sum()
 
 
 def check_weights(w: np.ndarray, tol: float = 1e-9) -> np.ndarray:
@@ -112,7 +112,8 @@ def check_weights(w: np.ndarray, tol: float = 1e-9) -> np.ndarray:
 def weighted_average(mat: np.ndarray, weights) -> np.ndarray:
     """Coordinate-wise convex combination sum_i w_i * mat[i].
 
-    ``weights[k]`` applies to row k of ``mat``, client k's update.
+    ``weights[k]`` applies to row k of ``mat``, client k's update.  This is
+    the one place a round's weight vector is checked with :func:`check_weights`.
     """
     w = check_weights(weights)
     if w.size != mat.shape[0]:

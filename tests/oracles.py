@@ -1,7 +1,13 @@
 """Independent brute-force oracles, kept deliberately loop-based and
-numpy-free in their arithmetic so they share nothing with the library path."""
+numpy-free in their arithmetic so they share nothing with the library path.
+
+The one exception is the local-training reference: the batched trainer must
+match it bit for bit, so it runs one client at a time in plain 2-D numpy,
+with its own layer slicing and products and no call into the library."""
 
 import math
+
+import numpy as np
 
 
 def euclidean_distance(a, b):
@@ -127,3 +133,47 @@ def mann_whitney_auc_oracle(scores, positive):
             elif x == y:
                 wins += 0.5
     return wins / (len(pos) * len(neg))
+
+
+def reference_local_train(spec, params, data, cfg, rng):
+    """One client's seeded mini-batch SGD as a plain loop over its batches,
+    with the single-model products written out in 2-D numpy; the batched
+    trainer must give this bit for bit."""
+    theta = params.copy()
+    m = len(data)
+    for _ in range(cfg.local_steps):
+        order = rng.permutation(m)
+        for start in range(0, m, cfg.batch_size):
+            batch = order[start:start + cfg.batch_size]
+            theta -= cfg.learning_rate * _reference_grad(spec, theta, data.features[batch],
+                                                         data.labels[batch])
+    return theta
+
+
+def _reference_grad(spec, flat, features, labels):
+    layers, at = [], 0
+    for shape in spec.layer_shapes():
+        size = int(np.prod(shape))
+        layers.append(flat[at:at + size].reshape(shape))
+        at += size
+    m = features.shape[0]
+
+    def output_delta(logits):
+        shifted = logits - logits.max(axis=1, keepdims=True)
+        log_probs = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+        delta = np.exp(log_probs)
+        delta[np.arange(m), labels] -= 1.0
+        delta /= m
+        return delta
+
+    if spec.kind == "logistic":
+        w, b = layers
+        delta = output_delta(features @ w.T + b)
+        return np.concatenate([(delta.T @ features).ravel(), delta.sum(axis=0)])
+    w1, b1, w2, b2 = layers
+    pre = features @ w1.T + b1
+    hidden = np.maximum(pre, 0.0)
+    delta = output_delta(hidden @ w2.T + b2)
+    d_hidden = (delta @ w2) * (pre > 0.0)
+    return np.concatenate([(d_hidden.T @ features).ravel(), d_hidden.sum(axis=0),
+                           (delta.T @ hidden).ravel(), delta.sum(axis=0)])

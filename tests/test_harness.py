@@ -1,7 +1,8 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from dosfl import harness
 from dosfl.aggregators import AggregatorSpec
 from dosfl.attacks import AttackPlan, GaussianNoise, LabelFlip, Scale
 from dosfl.data import (
@@ -11,7 +12,7 @@ from dosfl.data import (
     partition_iid,
     partition_label_skew,
 )
-from dosfl.errors import ConfigError, ExperimentError
+from dosfl.errors import ConfigError, DimensionError, ExperimentError
 from dosfl.harness import (
     Metrics,
     SimulationSetup,
@@ -24,55 +25,11 @@ from dosfl.harness import (
 )
 from dosfl.models import ModelSpec, init_params, loss_and_grad, predict_proba
 
-from .oracles import mann_whitney_auc_oracle
+from .oracles import mann_whitney_auc_oracle, reference_local_train
 
 
 def rng_of(seed):
     return np.random.default_rng(seed)
-
-
-def reference_local_train(spec, params, data, cfg, rng):
-    """One client's seeded mini-batch SGD as a plain loop over its batches,
-    with the single-model products written out in 2-D numpy; the batched
-    trainer must give this bit for bit."""
-    theta = params.copy()
-    m = len(data)
-    for _ in range(cfg.local_steps):
-        order = rng.permutation(m)
-        for start in range(0, m, cfg.batch_size):
-            batch = order[start:start + cfg.batch_size]
-            theta -= cfg.learning_rate * _reference_grad(spec, theta, data.features[batch],
-                                                         data.labels[batch])
-    return theta
-
-
-def _reference_grad(spec, flat, features, labels):
-    layers, at = [], 0
-    for shape in spec.layer_shapes():
-        size = int(np.prod(shape))
-        layers.append(flat[at:at + size].reshape(shape))
-        at += size
-    m = features.shape[0]
-
-    def output_delta(logits):
-        shifted = logits - logits.max(axis=1, keepdims=True)
-        log_probs = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
-        delta = np.exp(log_probs)
-        delta[np.arange(m), labels] -= 1.0
-        delta /= m
-        return delta
-
-    if spec.kind == "logistic":
-        w, b = layers
-        delta = output_delta(features @ w.T + b)
-        return np.concatenate([(delta.T @ features).ravel(), delta.sum(axis=0)])
-    w1, b1, w2, b2 = layers
-    pre = features @ w1.T + b1
-    hidden = np.maximum(pre, 0.0)
-    delta = output_delta(hidden @ w2.T + b2)
-    d_hidden = (delta @ w2) * (pre > 0.0)
-    return np.concatenate([(d_hidden.T @ features).ravel(), d_hidden.sum(axis=0),
-                           (delta.T @ hidden).ravel(), delta.sum(axis=0)])
 
 
 # ---------------------------------------------------------------------------
@@ -221,20 +178,55 @@ def test_batched_training_single_client(kind):
     _assert_matches_reference(spec, params, shards, cfg)
 
 
-def test_chunk_budget_does_not_change_arithmetic(monkeypatch):
-    spec, params, shards = _training_case("mlp1", "label_skew", 6)
-    cfg = TrainConfig(learning_rate=0.3, local_steps=2, batch_size=7, rounds=1)
+@pytest.mark.parametrize("kind", ["logistic", "mlp1"])
+def test_loss_and_grad_writes_into_out(kind):
+    spec = ModelSpec(kind=kind, input_dim=5, class_count=3, hidden_dim=6)
+    rng = rng_of(33)
+    flat = rng.standard_normal((3, spec.param_count))
+    features = rng.standard_normal((3, 7, 5))  # a different batch per model
+    labels = rng.integers(0, 3, size=(3, 7))
+    loss, grad = loss_and_grad(spec, flat, features, labels)
+    buf = np.full_like(flat, np.nan)
+    loss_out, got = loss_and_grad(spec, flat, features, labels, out=buf)
+    assert got is buf
+    np.testing.assert_array_equal(loss_out, loss)
+    np.testing.assert_array_equal(buf, grad)
 
-    def train():
-        return local_train(spec, params, shards, cfg, [rng_of(50 + i) for i in range(6)])
+    one = np.full(spec.param_count, np.nan)
+    loss_one, got = loss_and_grad(spec, flat[1], features[1], labels[1], out=one)
+    assert got is one
+    assert loss_one == loss[1]
+    np.testing.assert_array_equal(one, grad[1])  # bitwise the row of the stack
+    np.testing.assert_array_equal(one, loss_and_grad(spec, flat[1], features[1], labels[1])[1])
 
-    default = train()
-    monkeypatch.setattr(harness, "TRAIN_CHUNK_BYTES", params.nbytes)  # one row per chunk
-    one_row = train()
-    monkeypatch.setattr(harness, "TRAIN_CHUNK_BYTES", 6 * params.nbytes)  # all rows at once
-    all_rows = train()
-    np.testing.assert_array_equal(one_row, default)
-    np.testing.assert_array_equal(all_rows, default)
+
+def test_loss_and_grad_rejects_out_it_cannot_fill():
+    spec = ModelSpec(kind="logistic", input_dim=2, class_count=2)
+    flat = np.zeros((2, spec.param_count))
+    features, labels = np.zeros((2, 3, 2)), np.zeros((2, 3), dtype=int)
+    for out in (np.empty((1, spec.param_count)), np.empty((2, spec.param_count), np.float32),
+                np.empty((spec.param_count, 2)).T):
+        with pytest.raises(DimensionError, match="out"):
+            loss_and_grad(spec, flat, features, labels, out=out)
+
+
+def test_local_train_peak_memory_is_two_parameter_matrices():
+    # P = 32131 is far above batch x hidden = 128, so per-step (n, P)
+    # temporaries would dominate the peak; the bound leaves room for the
+    # parameter matrix, the gradient buffer and the concatenated shards.
+    spec = ModelSpec(kind="mlp1", input_dim=1000, class_count=3, hidden_dim=32)
+    ds = generate_synthetic(3, 1000, 24, 3.0, rng_of(34))
+    shards = partition_iid(ds, 4, rng_of(35))
+    params = init_params(spec, rng_of(36))
+    cfg = TrainConfig(learning_rate=0.1, local_steps=2, batch_size=4, rounds=1)
+    shard_bytes = sum(s.features.nbytes + s.labels.nbytes for s in shards)
+    tracemalloc.start()
+    try:
+        local_train(spec, params, shards, cfg, [rng_of(37 + i) for i in range(4)])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * 4 * params.nbytes + shard_bytes
 
 
 def test_local_train_rejects_wrong_param_count():

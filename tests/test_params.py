@@ -166,6 +166,14 @@ def test_weighted_average_length_mismatch():
         weighted_average(matrix_of([0.0, 1.0]), [1.0])
 
 
+@pytest.mark.parametrize("weights", [
+    [0.5, np.nan], [1.5, -0.5], [1.0 + 1e-6, 0.0], [0.3, 0.3],
+], ids=["nan", "negative", "above_one", "sum_below_one"])
+def test_weighted_average_rejects_invalid_weights(weights):
+    with pytest.raises(NumericError):
+        weighted_average(matrix_of([0.0, 1.0]), weights)
+
+
 def test_weighted_average_convex_hull():
     rng = np.random.default_rng(5)
     for _ in range(30):

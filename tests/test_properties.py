@@ -1,7 +1,8 @@
 """Property checks of the whole-matrix aggregation kernels against the
 loop-based oracles, on the inputs where a vectorised kernel can part from a
 per-pair or per-column loop: ties, constant columns, extreme scales, zero and
-underflowing rows, and exact or near duplicates."""
+underflowing rows, and exact or near duplicates.  The batched local trainer
+is checked the same way against a per-client loop, on ragged shards."""
 
 import numpy as np
 from hypothesis import example, given, settings
@@ -11,6 +12,9 @@ from scipy.spatial.distance import pdist, squareform
 from dosfl.aggregators import aggregate_krum, aggregate_median, krum_select
 from dosfl.attacks import Crafted, attack_crafted, local_krum_oracle
 from dosfl.copod import copod_scores
+from dosfl.data import LabeledDataset
+from dosfl.harness import TrainConfig, local_train
+from dosfl.models import ModelSpec
 from dosfl.params import pairwise_distances
 
 from . import oracles
@@ -187,3 +191,29 @@ def test_crafted_lambda_matches_per_candidate_search(case):
     assert picked == expected
     for vec in out:
         np.testing.assert_array_equal(vec, g - candidates[expected] * s)
+
+
+@st.composite
+def training_cases(draw):
+    """A small model, 1-8 clients with shards of 1-12 samples each, and a
+    batch size and epoch count that leave ragged last batches."""
+    spec = ModelSpec(kind=draw(st.sampled_from(["logistic", "mlp1"])), input_dim=3,
+                     class_count=3, hidden_dim=4)
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    shards = [LabeledDataset(features=rng.standard_normal((m, 3)),
+                             labels=rng.integers(0, 3, size=m), class_count=3)
+              for m in draw(st.lists(st.integers(1, 12), min_size=1, max_size=8))]
+    cfg = TrainConfig(learning_rate=0.3, local_steps=draw(st.integers(1, 3)),
+                      batch_size=draw(st.integers(1, 13)), rounds=1)
+    return spec, rng.uniform(-1.0, 1.0, spec.param_count), shards, cfg
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(training_cases())
+def test_local_train_matches_per_client_reference(case):
+    spec, params, shards, cfg = case
+    out = local_train(spec, params, shards, cfg,
+                      [np.random.default_rng(i) for i in range(len(shards))])
+    for i, shard in enumerate(shards):
+        ref = oracles.reference_local_train(spec, params, shard, cfg, np.random.default_rng(i))
+        np.testing.assert_array_equal(out[i], ref)
