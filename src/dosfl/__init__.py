@@ -29,7 +29,7 @@ from .attacks import (
     attack_scale,
 )
 from .config import ExperimentConfig, expand_scenario, parse_config_file, parse_config_text
-from .copod import copod_scores, dos_outlier_scores, ecdf_left, ecdf_right, skew_sign
+from .copod import copod_scores
 from .data import (
     LabeledDataset,
     generate_synthetic,

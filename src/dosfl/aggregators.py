@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial.distance import pdist, squareform
 
-from .copod import dos_outlier_scores
+from .copod import copod_scores
 from .errors import ConfigError
 from .params import pairwise_distances, softmax_weights, weighted_average
 
@@ -75,8 +75,13 @@ class AggregationResult:
 
 
 def aggregate_dos(mat: np.ndarray) -> AggregationResult:
-    """Distance matrices -> COPOD outlier scores -> softmax weights -> average."""
-    scores = dos_outlier_scores(pairwise_distances(mat))
+    """Distance matrices -> COPOD outlier scores -> softmax weights -> average.
+
+    The score is the mean of the Euclidean and the cosine matrix's COPOD
+    scores, each over the full (n, n) matrix: the ECDFs absorb the tied zeros
+    of the diagonal."""
+    dp = pairwise_distances(mat)
+    scores = (copod_scores(dp.euclidean) + copod_scores(dp.cosine)) / 2.0
     weights = softmax_weights(scores)
     new_global = weighted_average(mat, weights)
     return AggregationResult(new_global=new_global, weights=weights, scores=scores)

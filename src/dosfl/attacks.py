@@ -94,9 +94,6 @@ class AttackPlan:
     def malicious_ids(self) -> list[int]:
         return sorted(self.assignments)
 
-    def malicious_fraction(self, n: int) -> float:
-        return len(self.assignments) / n
-
     def label_flip_items(self) -> list[tuple[int, LabelFlip]]:
         return [(i, k) for i, k in sorted(self.assignments.items()) if isinstance(k, LabelFlip)]
 

@@ -24,7 +24,8 @@ import numpy as np
 
 from .aggregators import AGGREGATOR_KINDS
 from .attacks import GaussianNoise
-from .config import ExperimentConfig, expand_groups, parse_config_file, with_overrides
+from .config import (ExperimentConfig, _finite_float, expand_groups, parse_config_file,
+                     with_overrides)
 from .copod import copod_scores
 from .errors import ConfigError, DosflError
 from .harness import RoundRecord, run_experiment
@@ -226,22 +227,17 @@ def _read_csv_matrix(path) -> np.ndarray:
             if rows and len(row) != len(rows[0]):
                 raise ConfigError(f"{path}: row {i} has {len(row)} columns, "
                                   f"expected {len(rows[0])}")
-            try:
-                rows.append([float(v) for v in row])
-            except ValueError:
-                bad = next(j for j, v in enumerate(row, start=1) if not _is_number(v))
-                raise ConfigError(f"{path}: non-numeric value at row {i}, column {bad}") from None
+            values = []
+            for j, v in enumerate(row, start=1):
+                try:
+                    values.append(_finite_float(v))
+                except ValueError:
+                    raise ConfigError(f"{path}: {v!r} at row {i}, column {j} "
+                                      "is not a finite number") from None
+            rows.append(values)
     if not rows:
         raise ConfigError(f"{path}: empty matrix")
     return np.asarray(rows)
-
-
-def _is_number(text: str) -> bool:
-    try:
-        float(text)
-        return True
-    except ValueError:
-        return False
 
 
 def _split_list(text: str, flag: str) -> list[str]:

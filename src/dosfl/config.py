@@ -65,28 +65,29 @@ def parse_attack_kind(text: str) -> AttackKind | None:
     if not m:
         raise ConfigError(f"cannot parse attack kind {text!r}")
     name, argstr = m.group(1), m.group(2) or ""
-    kwargs: dict[str, float] = {}
-    for part in filter(None, (p.strip() for p in argstr.split(","))):
-        if "=" not in part:
-            raise ConfigError(f"attack argument {part!r} is not key=value in {text!r}")
-        key, val = (s.strip() for s in part.split("=", 1))
-        try:
-            kwargs[key] = _finite_float(val)
-        except ValueError as exc:
-            raise ConfigError(f"attack argument {part!r} is not a finite number in {text!r}") from exc
+    parts = [p.strip() for p in argstr.split(",") if p.strip()]
     if name == "none":
-        if kwargs:
+        if parts:
             raise ConfigError("'none' takes no arguments")
         return None
     if name not in ATTACK_KINDS:
         raise ConfigError(f"unknown attack kind {name!r}; valid: none, {', '.join(ATTACK_KINDS)}")
     # argument types and defaults come from the kind dataclass
     fields = _field_types(ATTACK_KINDS[name])
-    unknown = sorted(set(kwargs) - set(fields))
-    if unknown:
-        raise ConfigError(f"unknown attack arguments {unknown} in {text!r}")
+    kwargs: dict[str, object] = {}
+    for part in parts:
+        if "=" not in part:
+            raise ConfigError(f"attack argument {part!r} is not key=value in {text!r}")
+        key, val = (s.strip() for s in part.split("=", 1))
+        if key not in fields:
+            raise ConfigError(f"unknown attack argument {key!r} in {text!r}")
+        convert, needs = _PARSERS[fields[key]]
+        try:
+            kwargs[key] = convert(val)
+        except ValueError:
+            raise ConfigError(f"attack argument {part!r} needs {needs} in {text!r}") from None
     try:
-        return ATTACK_KINDS[name](**{key: fields[key](val) for key, val in kwargs.items()})
+        return ATTACK_KINDS[name](**kwargs)
     except TypeError as exc:
         raise ConfigError(f"bad arguments in {text!r}: {exc}") from exc
 
@@ -199,6 +200,7 @@ KEYS: dict[str, tuple[str, ...]] = {
     "output_dir": ("output_dir",),
 }
 _CLIENT_KEY_RE = re.compile(r"^attack\.client\.(\d+)$")
+# Converter and description per annotated type, for config keys and attack arguments alike.
 _PARSERS = {int: (int, "an integer"), float: (_finite_float, "a finite number"), str: (str, "")}
 
 

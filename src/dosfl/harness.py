@@ -25,6 +25,7 @@ import numpy as np
 
 from .aggregators import AggregatorSpec, krum_neighbors, run_rule, trim_count
 from .attacks import AttackPlan, apply_attack_plan, attack_label_flip
+from .copod import tie_runs
 from .data import LabeledDataset, make_train_test, partition_iid, partition_label_skew
 from .errors import ConfigError, ExperimentError
 from .models import ModelSpec, init_params, loss_and_grad, predict_proba
@@ -168,8 +169,9 @@ def _twice_pair_u(proba: np.ndarray, labels: np.ndarray,
     Entry [k, l] of the first (c, c) integer matrix sums, over x in class k and
     y in class l, 2 if p_k(x) > p_k(y) and 1 if they tie.  It is read from one
     stable argsort of column k: each sample adds the per-class counts below
-    its tie run and those up to the run's end.  Entry [k, l] of the second
-    counts the class-l samples with a NaN in column k.
+    its tie run and those up to the run's end, from :func:`copod.tie_runs`
+    over the transposed columns, where each NaN is a run of its own.  Entry
+    [k, l] of the second counts the class-l samples with a NaN in column k.
     """
     n = labels.size
     order = np.argsort(proba, axis=0, kind="stable")
@@ -178,20 +180,12 @@ def _twice_pair_u(proba: np.ndarray, labels: np.ndarray,
     onehot = labels[order][:, :, None] == column  # (sorted position, column, class)
     cum = np.zeros((n + 1, c, c), dtype=np.int64)  # class counts of the first s positions
     np.cumsum(onehot, axis=0, out=cum[1:])
-    below = _run_starts(ranked)
-    upto = n - _run_starts(ranked[::-1])[::-1]  # one past the end of the tie run
+    below, upto = (run.T for run in tie_runs(ranked.T))
     twice_each = cum[below, column] + cum[upto, column]
     own = onehot[:, column, column]  # the sample belongs to the column's class
     twice_u = (twice_each * own[:, :, None]).sum(axis=0)
     finite = n - np.isnan(proba).sum(axis=0)
     return twice_u, cum[n] - cum[finite, column]
-
-
-def _run_starts(ranked: np.ndarray) -> np.ndarray:
-    """Per position of each sorted column, the first position of its tie run."""
-    new = np.ones(ranked.shape, dtype=bool)
-    new[1:] = ranked[1:] != ranked[:-1]
-    return np.maximum.accumulate(np.where(new, np.arange(len(ranked))[:, None], 0), axis=0)
 
 
 @dataclass(frozen=True)

@@ -118,6 +118,22 @@ def krum_select_oracle(rows, f):
     return best
 
 
+def tie_runs_oracle(ranked):
+    """Per position of an ascending sequence with NaNs last, the count of
+    values below its value and the count of values at most it; a NaN is a
+    run of its own, from its position to the next."""
+    values = [float(x) for x in ranked]
+    starts, ends = [], []
+    for p, x in enumerate(values):
+        if math.isnan(x):
+            starts.append(p)
+            ends.append(p + 1)
+        else:
+            starts.append(sum(1 for y in values if y < x))
+            ends.append(sum(1 for y in values if y <= x))
+    return starts, ends
+
+
 def mann_whitney_auc_oracle(scores, positive):
     """Share of (positive, negative) pairs the positive outscores, ties
     counting 0.5; None if either side is empty."""

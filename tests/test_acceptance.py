@@ -15,15 +15,15 @@ the per-dimension fusion in ``dosfl.copod`` keeps the honest mass near 0.94.
 import numpy as np
 import pytest
 
-from dosfl.aggregators import AggregatorSpec, aggregate_krum, aggregate_median, \
+from dosfl.aggregators import AggregatorSpec, aggregate_dos, aggregate_krum, aggregate_median, \
     aggregate_trimmed_mean
 from dosfl.cli import main
 from dosfl.attacks import GaussianNoise
 from dosfl.config import ExperimentConfig, expand_groups, with_overrides
-from dosfl.copod import copod_scores, dos_outlier_scores
+from dosfl.copod import copod_scores
 from dosfl.harness import run_experiment
 from dosfl.models import ModelSpec, loss_and_grad
-from dosfl.params import pairwise_distances, softmax_weights
+from dosfl.params import softmax_weights
 
 from .oracles import copod_scores_oracle, krum_select_oracle, median_oracle, \
     trimmed_mean_oracle
@@ -188,9 +188,9 @@ def test_property_suite(tmp_path):
 
     # DOS weight invariance under global positive rescaling
     mat = rng.standard_normal((7, 6))
-    w0 = softmax_weights(dos_outlier_scores(pairwise_distances(mat)))
+    w0 = aggregate_dos(mat).weights
     for alpha in (0.5, 42.0):
-        w1 = softmax_weights(dos_outlier_scores(pairwise_distances(alpha * mat)))
+        w1 = aggregate_dos(alpha * mat).weights
         ok &= bool(np.allclose(w0, w1, atol=1e-12))
 
     # COPOD invariance under positive-affine per-column maps
@@ -201,8 +201,7 @@ def test_property_suite(tmp_path):
     # permutation equivariance: scores and weights follow the rows
     perm = rng.permutation(7)
     ok &= bool(np.allclose(copod_scores(mat[perm]), copod_scores(mat)[perm]))
-    ok &= bool(np.allclose(
-        softmax_weights(dos_outlier_scores(pairwise_distances(mat[perm]))), w0[perm]))
+    ok &= bool(np.allclose(aggregate_dos(mat[perm]).weights, w0[perm]))
 
     # partition conservation
     from dosfl.data import generate_synthetic, partition_iid, partition_label_skew

@@ -100,6 +100,16 @@ def test_parse_attack_kinds():
         parse_attack_kind("noise(sigma=2,oops=1)")
     with pytest.raises(ConfigError):
         parse_attack_kind("meteor()")
+    # integer fields take integer text: no silent truncation of 1.9 or 2.5
+    assert parse_attack_kind("label_flip(source=1,target=0)") == LabelFlip(source=1, target=0)
+    for spec in ("label_flip(source=1.9,target=0)", "label_flip(source=1,target=0.0)",
+                 "crafted(halving_steps=2.5)", "crafted(halving_steps=nan)"):
+        with pytest.raises(ConfigError, match="needs an integer"):
+            parse_attack_kind(spec)
+    with pytest.raises(ConfigError, match="needs a finite number"):
+        parse_attack_kind("noise(sigma=inf)")
+    with pytest.raises(ConfigError, match=r"<config>:2: .*needs an integer"):
+        parse_config_text("attack = custom\nattack.client.3 = crafted(halving_steps=2.5)\n")
 
 
 def test_scenario_expansion_counts_at_ten():
@@ -394,8 +404,10 @@ def test_copod_score_ragged_named_location(tmp_path, capsys):
 
 
 def test_copod_score_non_numeric_location(tmp_path, capsys):
+    # a non-finite cell is a configuration error at its cell, like a non-numeric one
     path = tmp_path / "m.csv"
-    path.write_text("1,2\n3,frog\n")
-    assert main(["copod", "score", "--input", str(path)]) == 2
-    err = capsys.readouterr().err
-    assert "row 2" in err and "column 2" in err
+    for cell in ("frog", "nan", "inf", "-inf"):
+        path.write_text(f"1,2\n3,{cell}\n")
+        assert main(["copod", "score", "--input", str(path)]) == 2, cell
+        err = capsys.readouterr().err
+        assert "row 2" in err and "column 2" in err, cell

@@ -1,61 +1,19 @@
 import numpy as np
 import pytest
 
-from dosfl.copod import copod_scores, dos_outlier_scores, ecdf_left, ecdf_right, skew_sign
+from dosfl.aggregators import aggregate_dos
+from dosfl.copod import copod_scores
 from dosfl.errors import ConfigError, NumericError
-from dosfl.params import DistancePair, pairwise_distances, softmax_weights
+from dosfl.params import pairwise_distances
 
 from .oracles import copod_scores_oracle
 
 
-def test_ecdf_left_examples():
-    np.testing.assert_allclose(ecdf_left([1, 2, 3]), [1 / 3, 2 / 3, 1.0])
-    np.testing.assert_allclose(ecdf_left([5, 5, 5]), [1.0, 1.0, 1.0])
-    np.testing.assert_allclose(ecdf_left([3, 1, 2, 2]), [1.0, 0.25, 0.75, 0.75])
-
-
-def test_ecdf_right_examples():
-    np.testing.assert_allclose(ecdf_right([1, 2, 3]), [1.0, 2 / 3, 1 / 3])
-    np.testing.assert_allclose(ecdf_right([5, 5, 5]), [1.0, 1.0, 1.0])
-
-
-def test_ecdf_right_is_left_of_negated():
-    rng = np.random.default_rng(0)
-    for _ in range(50):
-        col = rng.standard_normal(rng.integers(1, 12))
-        np.testing.assert_allclose(ecdf_right(col), ecdf_left(-col))
-
-
-def test_ecdf_values_at_least_one_over_n():
-    rng = np.random.default_rng(1)
-    for _ in range(30):
-        col = np.round(rng.standard_normal(10), 1)  # rounding forces ties
-        for f in (ecdf_left, ecdf_right):
-            vals = f(col)
-            assert np.all(vals >= 1 / len(col) - 1e-15)
-            assert np.all(vals <= 1.0)
-
-
-def test_skew_sign():
-    assert skew_sign([1, 2, 9]) == 1
-    assert skew_sign([-9, -2, -1]) == -1
-    assert skew_sign([1, 2, 3]) == 0
-    assert skew_sign([5, 5, 5]) == 0
-    assert skew_sign([0.1, 0.1, 0.1]) == 0  # the float mean is not exactly 0.1
-
-
-def test_skew_sign_is_scale_free():
-    # the 1e-12 threshold applies to the standardised third moment, so a
-    # tiny-scale column keeps its sign
-    assert skew_sign(1e-6 * np.array([1, 2, 9])) == 1
-    assert skew_sign(-1e-6 * np.array([1, 2, 9])) == -1
-    assert skew_sign(1e-200 * np.array([1, 2, 9])) == 1
-    assert skew_sign(1e200 * np.array([1, 2, 9])) == 1
-
-
 def test_copod_identical_rows_score_zero():
-    m = np.tile([2.0, 5.0, -1.0], (4, 1))
-    np.testing.assert_allclose(copod_scores(m), np.zeros(4))
+    # [0.1, 0.1, 0.1]: the float mean of a constant column is not exactly 0.1
+    for row in ([2.0, 5.0, -1.0], [0.1, 0.1, 0.1]):
+        np.testing.assert_allclose(copod_scores(np.tile(row, (4, 1))), np.zeros(4))
+    np.testing.assert_allclose(copod_scores([[0.1], [0.1], [0.1]]), np.zeros(3))
 
 
 def test_copod_single_column_outlier():
@@ -71,6 +29,40 @@ def test_copod_per_dimension_fusion_closed_form():
     m = np.array([[0.0], [0.0], [0.0], [10.0]])
     expected = [np.log(4 / 3) / 2] * 3 + [np.log(4)]
     np.testing.assert_allclose(copod_scores(m), expected, rtol=0, atol=1e-15)
+
+
+def test_copod_tie_example_closed_form():
+    # [3, 1, 2, 2]: left ECDF [1, 1/4, 3/4, 3/4] and right ECDF
+    # [1/4, 1, 3/4, 3/4], the tied 2s each counting both; the third moment
+    # is 0, so each cell scores L + R
+    m = np.array([[3.0], [1.0], [2.0], [2.0]])
+    expected = [np.log(4), np.log(4), 2 * np.log(4 / 3), 2 * np.log(4 / 3)]
+    np.testing.assert_allclose(copod_scores(m), expected, rtol=0, atol=1e-15)
+    # [1, 2, 3]: left [1/3, 2/3, 1], right [1, 2/3, 1/3], skew sign 0
+    expected = [np.log(3), 2 * np.log(3 / 2), np.log(3)]
+    np.testing.assert_allclose(copod_scores([[1.0], [2.0], [3.0]]), expected, rtol=0, atol=1e-15)
+
+
+def test_copod_invariant_under_negation():
+    # negating swaps the left and right ECDFs and flips each skew sign
+    rng = np.random.default_rng(0)
+    for _ in range(50):
+        m = np.round(rng.standard_normal((int(rng.integers(2, 12)), 3)), 1)  # ties included
+        np.testing.assert_array_equal(copod_scores(-m), copod_scores(m))
+    # the left-skewed [-1, -2, -9] scores as its mirror [1, 2, 9]: S is L, not R
+    expected = [np.log(3) / 2, np.log(3 / 2), np.log(3)]
+    np.testing.assert_allclose(copod_scores([[-1.0], [-2.0], [-9.0]]), expected, rtol=0, atol=1e-15)
+
+
+def test_copod_skewed_column_is_scale_free():
+    # the 1e-12 threshold applies to the standardised third moment, so a
+    # tiny- or huge-scale skewed column keeps its sign and its scores;
+    # right-skewed, each cell scores max(R, (L + R) / 2)
+    skewed = np.array([[1.0], [2.0], [9.0]])
+    expected = [np.log(3) / 2, np.log(3 / 2), np.log(3)]
+    np.testing.assert_allclose(copod_scores(skewed), expected, rtol=0, atol=1e-15)
+    for scale in (1e-6, 1e-200, 1e200):
+        np.testing.assert_array_equal(copod_scores(scale * skewed), copod_scores(skewed))
 
 
 def test_copod_monotone_transform_invariance():
@@ -98,9 +90,10 @@ def test_copod_score_bounds():
     for _ in range(25):
         n = int(rng.integers(2, 9))
         d = int(rng.integers(1, 6))
-        scores = copod_scores(rng.standard_normal((n, d)))
-        assert np.all(scores >= 0.0)
-        assert np.all(scores <= d * np.log(n) + 1e-9)
+        m = rng.standard_normal((n, d))
+        for scores in (copod_scores(m), copod_scores(np.round(m, 1))):  # rounding forces ties
+            assert np.all(scores >= 0.0)
+            assert np.all(scores <= d * np.log(n) + 1e-9)
 
 
 def test_copod_matches_oracle_random():
@@ -121,16 +114,16 @@ def test_copod_rejects_bad_input():
 
 def test_dos_scores_average_both_matrices():
     rng = np.random.default_rng(6)
-    dp = pairwise_distances(rng.standard_normal((5, 4)))
+    mat = rng.standard_normal((5, 4))
+    dp = pairwise_distances(mat)
     expected = (copod_scores(dp.euclidean) + copod_scores(dp.cosine)) / 2.0
-    np.testing.assert_allclose(dos_outlier_scores(dp), expected)
+    np.testing.assert_array_equal(aggregate_dos(mat).scores, expected)
 
 
 def test_dos_zero_distances_give_uniform_weights():
-    dp = DistancePair(euclidean=np.zeros((3, 3)), cosine=np.zeros((3, 3)))
-    scores = dos_outlier_scores(dp)
-    np.testing.assert_allclose(scores, np.zeros(3))
-    np.testing.assert_allclose(softmax_weights(scores), [1 / 3] * 3)
+    res = aggregate_dos(np.tile([0.5, -1.0], (3, 1)))  # every distance is 0
+    np.testing.assert_allclose(res.scores, np.zeros(3))
+    np.testing.assert_allclose(res.weights, [1 / 3] * 3)
 
 
 def test_dos_far_client_scores_highest():
@@ -139,18 +132,18 @@ def test_dos_far_client_scores_highest():
     base = np.ones(6)
     cluster = [base + 0.01 * rng.standard_normal(6) for _ in range(4)]
     far = base + 100.0 * rng.standard_normal(6) / np.sqrt(6)
-    scores = dos_outlier_scores(pairwise_distances(np.array(cluster + [far])))
+    scores = aggregate_dos(np.array(cluster + [far])).scores
     assert scores[4] > scores[:4].max()
 
 
 def test_dos_invariant_under_global_rescaling():
     rng = np.random.default_rng(8)
     mat = rng.standard_normal((6, 5))
-    base = dos_outlier_scores(pairwise_distances(mat))
+    base = aggregate_dos(mat)
     for alpha in (0.25, 3.0, 117.0):
-        scores = dos_outlier_scores(pairwise_distances(alpha * mat))
-        np.testing.assert_allclose(scores, base, atol=1e-12)
-        np.testing.assert_allclose(softmax_weights(scores), softmax_weights(base), atol=1e-12)
+        res = aggregate_dos(alpha * mat)
+        np.testing.assert_allclose(res.scores, base.scores, atol=1e-12)
+        np.testing.assert_allclose(res.weights, base.weights, atol=1e-12)
 
 
 def test_dos_weights_invariant_under_tiny_global_rescaling():
@@ -158,6 +151,5 @@ def test_dos_weights_invariant_under_tiny_global_rescaling():
     rng = np.random.default_rng(9)
     for _ in range(20):
         mat = rng.standard_normal((6, 5))
-        base = softmax_weights(dos_outlier_scores(pairwise_distances(mat)))
-        tiny = softmax_weights(dos_outlier_scores(pairwise_distances(1e-4 * mat)))
-        np.testing.assert_allclose(tiny, base, atol=1e-12)
+        np.testing.assert_allclose(aggregate_dos(1e-4 * mat).weights, aggregate_dos(mat).weights,
+                                   atol=1e-12)

@@ -1,8 +1,9 @@
 """Property checks of the whole-matrix aggregation kernels against the
 loop-based oracles, on the inputs where a vectorised kernel can part from a
 per-pair or per-column loop: ties, constant columns, extreme scales, zero and
-underflowing rows, and exact or near duplicates.  The batched local trainer
-is checked the same way against a per-client loop, on ragged shards."""
+underflowing rows, exact or near duplicates, and NaNs in sorted runs.  The
+batched local trainer is checked the same way against a per-client loop, on
+ragged shards."""
 
 import numpy as np
 from hypothesis import example, given, settings
@@ -11,7 +12,7 @@ from scipy.spatial.distance import pdist, squareform
 
 from dosfl.aggregators import aggregate_krum, aggregate_median, krum_select
 from dosfl.attacks import Crafted, attack_crafted, local_krum_oracle
-from dosfl.copod import copod_scores
+from dosfl.copod import copod_scores, tie_runs
 from dosfl.data import LabeledDataset
 from dosfl.harness import TrainConfig, local_train
 from dosfl.models import ModelSpec
@@ -44,6 +45,23 @@ def copod_matrices(draw):
 @given(copod_matrices())
 def test_copod_matches_oracle_on_ties_constants_and_scales(m):
     np.testing.assert_allclose(copod_scores(m), oracles.copod_scores_oracle(m), atol=1e-9)
+
+
+# Few distinct values, signed zeros and NaNs, so most columns hold tie runs.
+tie_entries = st.one_of(st.sampled_from([-1.0, -0.0, 0.0, 2.0, np.nan]),
+                        st.floats(-3.0, 3.0, allow_nan=False))
+
+
+@PROPERTY
+@given(st.integers(1, 12).flatmap(
+    lambda n: st.lists(st.lists(tie_entries, min_size=n, max_size=n), min_size=1, max_size=4)))
+def test_tie_runs_match_counts_with_ties_and_nans(columns):
+    # sorted along axis 0 and passed transposed, as evaluation ranks its
+    # probability columns; np.sort puts NaNs last
+    ranked = np.sort(np.array(columns).T, axis=0)
+    for runs in (tie_runs(ranked.T), tie_runs(np.ascontiguousarray(ranked.T))):
+        for col, start, end in zip(ranked.T, *runs, strict=True):
+            assert (start.tolist(), end.tolist()) == oracles.tie_runs_oracle(col)
 
 
 @PROPERTY
