@@ -80,8 +80,8 @@ def aggregate_dos(mat: np.ndarray) -> AggregationResult:
     The score is the mean of the Euclidean and the cosine matrix's COPOD
     scores, each over the full (n, n) matrix: the ECDFs absorb the tied zeros
     of the diagonal."""
-    dp = pairwise_distances(mat)
-    scores = (copod_scores(dp.euclidean) + copod_scores(dp.cosine)) / 2.0
+    euclidean, cosine = pairwise_distances(mat)
+    scores = (copod_scores(euclidean) + copod_scores(cosine)) / 2.0
     weights = softmax_weights(scores)
     new_global = weighted_average(mat, weights)
     return AggregationResult(new_global=new_global, weights=weights, scores=scores)

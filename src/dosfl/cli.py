@@ -24,8 +24,7 @@ import numpy as np
 
 from .aggregators import AGGREGATOR_KINDS
 from .attacks import GaussianNoise
-from .config import (ExperimentConfig, _finite_float, expand_groups, parse_config_file,
-                     with_overrides)
+from .config import ExperimentConfig, _finite_float, expand_groups, parse_config_file
 from .copod import copod_scores
 from .errors import ConfigError, DosflError
 from .harness import RoundRecord, run_experiment
@@ -91,11 +90,12 @@ def _load_config(args) -> ExperimentConfig:
     env_seed = os.environ.get(SEED_ENV_VAR)
     if env_seed is not None:
         try:
-            cfg = with_overrides(cfg, seed=int(env_seed))
+            seed = int(env_seed)
         except ValueError:
             raise ConfigError(f"{SEED_ENV_VAR}={env_seed!r} is not an integer") from None
+        cfg = replace(cfg, seed=seed)
     if args.seed is not None:
-        cfg = with_overrides(cfg, seed=args.seed)
+        cfg = replace(cfg, seed=args.seed)
     return cfg
 
 

@@ -3,14 +3,15 @@
 The config language is line oriented: ``section.key = value`` with ``#``
 comments.  Attack scenarios are bundled data fragments in the same kind-spec
 grammar used for custom per-client plans, expanded against the client count
-at validation time.
+at validation time.  An ``ExperimentConfig`` is validated when it is
+constructed, so ``dataclasses.replace`` on one validates the result too.
 """
 
 from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from functools import cache, reduce
 from typing import get_args, get_type_hints
 
@@ -73,15 +74,15 @@ def parse_attack_kind(text: str) -> AttackKind | None:
     if name not in ATTACK_KINDS:
         raise ConfigError(f"unknown attack kind {name!r}; valid: none, {', '.join(ATTACK_KINDS)}")
     # argument types and defaults come from the kind dataclass
-    fields = _field_types(ATTACK_KINDS[name])
+    arg_types = _field_types(ATTACK_KINDS[name])
     kwargs: dict[str, object] = {}
     for part in parts:
         if "=" not in part:
             raise ConfigError(f"attack argument {part!r} is not key=value in {text!r}")
         key, val = (s.strip() for s in part.split("=", 1))
-        if key not in fields:
+        if key not in arg_types:
             raise ConfigError(f"unknown attack argument {key!r} in {text!r}")
-        convert, needs = _PARSERS[fields[key]]
+        convert, needs = _PARSERS[arg_types[key]]
         try:
             kwargs[key] = convert(val)
         except ValueError:
@@ -116,10 +117,17 @@ def expand_scenario(name: str, n: int) -> AttackPlan:
     return expand_groups([(parse_attack_kind(spec), frac) for spec, frac in SCENARIOS[name]], n)
 
 
+# The fields a run copies from its config; the attack plan is built from two others.
+_SETUP_FIELDS = tuple(f.name for f in fields(SimulationSetup) if f.name != "plan")
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Full declarative description of one run (defaults match the desk-scale
-    benchmark: 10 clients, 4-class synthetic data, logistic model, 100 rounds)."""
+    benchmark: 10 clients, 4-class synthetic data, logistic model, 100 rounds).
+
+    Construction raises ``ConfigError`` for a config that describes no valid run.
+    """
 
     seed: int = 0
     clients: int = 10
@@ -135,6 +143,11 @@ class ExperimentConfig:
     custom_plan: tuple[tuple[int, str], ...] = ()
     output_dir: str = "out"
 
+    def __post_init__(self):
+        if self.custom_plan and self.attack != "custom":
+            raise ConfigError("attack.client.* entries require attack = custom")
+        self.to_setup()  # SimulationSetup owns the cross-field checks
+
     def build_plan(self) -> AttackPlan:
         if self.attack == "custom":
             assignments: dict[int, AttackKind] = {}
@@ -146,23 +159,8 @@ class ExperimentConfig:
         return expand_scenario(self.attack, self.clients)
 
     def to_setup(self, plan: AttackPlan | None = None) -> SimulationSetup:
-        return SimulationSetup(
-            seed=self.seed,
-            clients=self.clients,
-            model=self.model,
-            train=self.train,
-            aggregator=self.aggregator,
-            plan=self.build_plan() if plan is None else plan,
-            samples_per_class=self.samples_per_class,
-            test_per_class=self.test_per_class,
-            class_separation=self.class_separation,
-            partition=self.partition,
-            skew_alpha=self.skew_alpha,
-        )
-
-    def validate(self) -> "ExperimentConfig":
-        self.to_setup()  # SimulationSetup owns the cross-field checks
-        return self
+        return SimulationSetup(plan=self.build_plan() if plan is None else plan,
+                               **{name: getattr(self, name) for name in _SETUP_FIELDS})
 
     def flat_dict(self) -> dict[str, str]:
         """Effective configuration after defaults, as config-file keys; ``str``
@@ -241,7 +239,7 @@ def parse_config_text(text: str, source: str = "<config>") -> ExperimentConfig:
             raise ConfigError(f"{source}:{lineno}: {exc}") from None
 
     try:
-        return _build_config(values, tuple(sorted(custom.items()))).validate()
+        return _build_config(values, tuple(sorted(custom.items())))
     except ConfigError as exc:
         raise ConfigError(f"{source}: {exc}") from None
 
@@ -267,13 +265,6 @@ def _build_config(values: dict[tuple[str, ...], object],
             top[path[0]] = value
         else:
             nested.setdefault(path[0], {})[path[1]] = value
-    for name, fields in nested.items():
-        top[name] = replace(getattr(base, name), **fields)
-    if custom and top.get("attack", base.attack) != "custom":
-        raise ConfigError("attack.client.* entries require attack = custom")
+    for name, changes in nested.items():
+        top[name] = replace(getattr(base, name), **changes)
     return replace(base, custom_plan=custom, **top)
-
-
-def with_overrides(cfg: ExperimentConfig, **changes) -> ExperimentConfig:
-    """dataclasses.replace plus re-validation."""
-    return replace(cfg, **changes).validate()

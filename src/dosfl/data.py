@@ -8,6 +8,10 @@ import numpy as np
 
 from .errors import ConfigError, NumericError
 
+# Dirichlet draws partition_label_skew makes before it gives up on a split
+# that leaves every client at least one sample.
+LABEL_SKEW_RETRIES = 100
+
 
 @dataclass(frozen=True)
 class LabeledDataset:
@@ -94,16 +98,16 @@ def partition_iid(ds: LabeledDataset, n: int, rng: np.random.Generator) -> list[
 
 
 def partition_label_skew(ds: LabeledDataset, n: int, alpha: float,
-                         rng: np.random.Generator, max_retries: int = 100) -> list[LabeledDataset]:
+                         rng: np.random.Generator) -> list[LabeledDataset]:
     """Dirichlet label-skew split: each class is spread over clients according
     to a Dirichlet(alpha, ..., alpha) draw.  Smaller alpha means stronger skew.
 
-    Redraws (up to ``max_retries``) until every client holds at least one
-    sample.
+    Redraws (up to ``LABEL_SKEW_RETRIES`` times) until every client holds
+    at least one sample.
     """
     if alpha <= 0:
         raise ConfigError(f"alpha must be > 0, got {alpha}")
-    for _ in range(max_retries):
+    for _ in range(LABEL_SKEW_RETRIES):
         shard_idx: list[list[int]] = [[] for _ in range(n)]
         for c in range(ds.class_count):
             members = np.flatnonzero(ds.labels == c)
@@ -116,4 +120,4 @@ def partition_label_skew(ds: LabeledDataset, n: int, alpha: float,
                 start = cuts[i]
         if all(len(s) >= 1 for s in shard_idx):
             return [_take(ds, np.array(sorted(s), dtype=int)) for s in shard_idx]
-    raise ConfigError(f"label-skew split left a client empty after {max_retries} retries")
+    raise ConfigError(f"label-skew split left a client empty after {LABEL_SKEW_RETRIES} retries")

@@ -7,7 +7,8 @@ aggregation rules never see layer structure; pack order is W1, b1, (W2, b2).
 a batch per row, and applies the single-model op sequence along that leading
 axis; each row's gradient is bitwise the single-model one.  It writes the
 gradient into a caller's buffer when given one, so a training loop makes no
-(k, P) temporary per step.
+(k, P) temporary per step.  ``predict_proba`` runs the same forward sequence
+on a stack of one.
 """
 
 from __future__ import annotations
@@ -39,10 +40,7 @@ class ModelSpec:
 
     @property
     def param_count(self) -> int:
-        q, c, h = self.input_dim, self.class_count, self.hidden_dim
-        if self.kind == "logistic":
-            return c * q + c
-        return h * q + h + c * h + c
+        return sum(math.prod(shape) for shape in self.layer_shapes())
 
     def layer_shapes(self) -> list[tuple[int, ...]]:
         q, c, h = self.input_dim, self.class_count, self.hidden_dim
@@ -75,17 +73,10 @@ def unpack(spec: ModelSpec, flat: np.ndarray) -> list[np.ndarray]:
     return out
 
 
-def forward_logits(spec: ModelSpec, flat: np.ndarray, features: np.ndarray) -> np.ndarray:
-    if spec.kind == "logistic":
-        w, b = unpack(spec, flat)
-        return features @ w.T + b
-    w1, b1, w2, b2 = unpack(spec, flat)
-    hidden = np.maximum(features @ w1.T + b1, 0.0)
-    return hidden @ w2.T + b2
-
-
 def predict_proba(spec: ModelSpec, flat: np.ndarray, features: np.ndarray) -> np.ndarray:
-    return _softmax(forward_logits(spec, flat, features))
+    """Class probabilities of one (P,) model on (b, q) features, as (b, c)."""
+    logits, _ = _forward(spec, flat[None], features[None])
+    return _softmax(logits[0])
 
 
 def loss_and_grad(spec: ModelSpec, flat: np.ndarray, features: np.ndarray,
@@ -112,19 +103,15 @@ def loss_and_grad(spec: ModelSpec, flat: np.ndarray, features: np.ndarray,
     if single:
         flat, features, labels = flat[None], features[None], labels[None]
     grads = unpack(spec, out.reshape(flat.shape))  # layer views of the gradient rows
+    logits, hidden = _forward(spec, flat, features)
+    loss, probs = _ce_loss(logits, labels)
+    delta = _output_delta(probs, labels)
     if spec.kind == "logistic":
-        w, b = unpack(spec, flat)
-        loss, probs = _ce_loss(features @ w.transpose(0, 2, 1) + b[:, None], labels)
-        delta = _output_delta(probs, labels)
         np.matmul(delta.transpose(0, 2, 1), features, out=grads[0])
         delta.sum(axis=1, out=grads[1])
     else:
-        w1, b1, w2, b2 = unpack(spec, flat)
-        pre = features @ w1.transpose(0, 2, 1) + b1[:, None]
-        hidden = np.maximum(pre, 0.0)
-        loss, probs = _ce_loss(hidden @ w2.transpose(0, 2, 1) + b2[:, None], labels)
-        delta = _output_delta(probs, labels)
-        d_hidden = (delta @ w2) * (pre > 0.0)
+        w2 = unpack(spec, flat)[2]
+        d_hidden = (delta @ w2) * (hidden > 0.0)  # > 0 exactly where the ReLU's input was
         np.matmul(d_hidden.transpose(0, 2, 1), features, out=grads[0])
         d_hidden.sum(axis=1, out=grads[1])
         np.matmul(delta.transpose(0, 2, 1), hidden, out=grads[2])
@@ -132,6 +119,18 @@ def loss_and_grad(spec: ModelSpec, flat: np.ndarray, features: np.ndarray,
     if single:
         return float(loss[0]), out
     return loss, out
+
+
+def _forward(spec: ModelSpec, flat: np.ndarray,
+             features: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
+    """Logits (k, b, c) of a (k, P) stack on (k, b, q) features, one batch per
+    model, plus mlp1's hidden activations (k, b, h), or None for logistic."""
+    if spec.kind == "logistic":
+        w, b = unpack(spec, flat)
+        return features @ w.transpose(0, 2, 1) + b[:, None], None
+    w1, b1, w2, b2 = unpack(spec, flat)
+    hidden = np.maximum(features @ w1.transpose(0, 2, 1) + b1[:, None], 0.0)
+    return hidden @ w2.transpose(0, 2, 1) + b2[:, None], hidden
 
 
 def _output_delta(probs: np.ndarray, labels: np.ndarray) -> np.ndarray:

@@ -9,20 +9,13 @@ are pure; matrix rows and columns are always ordered by client index.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 from scipy.spatial.distance import pdist, squareform
 
 from .errors import ConfigError, DimensionError, NumericError
 
-
-@dataclass(frozen=True)
-class DistancePair:
-    """Euclidean and cosine pairwise distance matrices over one round's updates."""
-
-    euclidean: np.ndarray
-    cosine: np.ndarray
+# How far a weight vector's sum may stray from 1 before check_weights rejects it.
+WEIGHT_SUM_TOL = 1e-9
 
 
 def stack_updates(rows) -> np.ndarray:
@@ -46,9 +39,9 @@ def stack_updates(rows) -> np.ndarray:
     return mat
 
 
-def pairwise_distances(mat: np.ndarray) -> DistancePair:
+def pairwise_distances(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Compute the n x n Euclidean and cosine distance matrices of the rows
-    of a round's update matrix.
+    of a round's update matrix, returned in that order.
 
     Both come from ``scipy.spatial.distance.pdist``, which loops over the row
     pairs in C without a BLAS call or an (n, n, d) temporary.  Both matrices
@@ -77,7 +70,7 @@ def pairwise_distances(mat: np.ndarray) -> DistancePair:
     cos[zero_norm, :] = 1.0
     cos[:, zero_norm] = 1.0
     np.fill_diagonal(cos, 0.0)
-    return DistancePair(euclidean=euc, cosine=cos)
+    return euc, cos
 
 
 def softmax_weights(scores) -> np.ndarray:
@@ -97,14 +90,14 @@ def softmax_weights(scores) -> np.ndarray:
     return z / z.sum()
 
 
-def check_weights(w: np.ndarray, tol: float = 1e-9) -> np.ndarray:
+def check_weights(w: np.ndarray) -> np.ndarray:
     """Assert weight-vector invariants: finite, in [0, 1], summing to 1."""
     w = np.asarray(w, dtype=np.float64)
     if not np.all(np.isfinite(w)):
         raise NumericError("weights contain NaN or Inf")
     if np.any(w < 0.0) or np.any(w > 1.0):
         raise NumericError(f"weights out of [0, 1]: {w}")
-    if abs(w.sum() - 1.0) > tol:
+    if abs(w.sum() - 1.0) > WEIGHT_SUM_TOL:
         raise NumericError(f"weights sum to {w.sum()!r}, expected 1")
     return w
 

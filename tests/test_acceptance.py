@@ -12,6 +12,8 @@ distances make honest clients look as outlying as the noise clients, while
 the per-dimension fusion in ``dosfl.copod`` keeps the honest mass near 0.94.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -19,7 +21,7 @@ from dosfl.aggregators import AggregatorSpec, aggregate_dos, aggregate_krum, agg
     aggregate_trimmed_mean
 from dosfl.cli import main
 from dosfl.attacks import GaussianNoise
-from dosfl.config import ExperimentConfig, expand_groups, with_overrides
+from dosfl.config import ExperimentConfig, expand_groups
 from dosfl.copod import copod_scores
 from dosfl.harness import run_experiment
 from dosfl.models import ModelSpec, loss_and_grad
@@ -43,7 +45,7 @@ def run_suite(aggregator: str, attack: str, *, plan=None, trim=0.4,
     """One aggregator/attack combination across the reference seeds."""
     results = []
     for seed in SEEDS:
-        cfg = with_overrides(
+        cfg = replace(
             BASE,
             seed=seed,
             partition=partition,

@@ -149,6 +149,17 @@ def test_custom_entries_require_custom_mode():
         parse_config_text("attack = noise_40\nattack.client.1 = none\n")
 
 
+@pytest.mark.parametrize("build", [
+    lambda: ExperimentConfig(clients=1),
+    lambda: ExperimentConfig(attack="bogus"),
+    lambda: ExperimentConfig(custom_plan=((1, "noise()"),)),
+    lambda: replace(ExperimentConfig(), seed=-1),
+], ids=["clients", "attack", "custom_plan", "replace_seed"])
+def test_invalid_config_raises_at_construction(build):
+    with pytest.raises(ConfigError):
+        build()
+
+
 def test_expand_groups_noise_counts():
     assert len(expand_groups([(GaussianNoise(), 0.6)], 10).assignments) == 6
     assert sorted(expand_groups([(GaussianNoise(), 0.2)], 10).assignments) == [8, 9]
@@ -191,12 +202,23 @@ def test_flat_dict_round_trips_through_config_text(text):
     assert again == replace(cfg, aggregator=replace(cfg.aggregator, krum_f=krum_f))
 
 
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
 def test_readme_key_block_matches_defaults():
-    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    readme = README.read_text(encoding="utf-8")
     block = re.search(r"All keys with their defaults:\n\n```ini\n(.*?)```", readme, re.S).group(1)
     keys = [line.split("=", 1)[0].strip() for line in block.splitlines() if line.strip()]
     assert sorted(keys) == sorted(ExperimentConfig().flat_dict())
     assert parse_config_text(block).flat_dict() == ExperimentConfig().flat_dict()
+
+
+def test_readme_library_example_runs():
+    readme = README.read_text(encoding="utf-8")
+    block = re.search(r"## Library\n\n```python\n(.*?)```", readme, re.S).group(1)
+    namespace: dict = {}
+    exec(compile(block, "README.md", "exec"), namespace)
+    assert len(namespace["records"]) == namespace["cfg"].train.rounds
 
 
 # ---------------------------------------------------------------------------
@@ -259,7 +281,7 @@ def test_cmd_run_runtime_failure_exits_3(tmp_path, capsys):
     assert "round" in capsys.readouterr().err
 
 
-def test_seed_precedence(tmp_path, monkeypatch):
+def test_seed_precedence(tmp_path, monkeypatch, capsys):
     cfg = write_cfg(tmp_path, FAST)
     out = tmp_path / "out"
 
@@ -272,6 +294,11 @@ def test_seed_precedence(tmp_path, monkeypatch):
 
     monkeypatch.setenv("DOSFL_SEED", "not-a-number")
     assert main(["run", "--config", str(cfg)]) == 2
+
+    capsys.readouterr()
+    monkeypatch.setenv("DOSFL_SEED", "-4")
+    assert main(["run", "--config", str(cfg)]) == 2
+    assert "64-bit unsigned integer" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------

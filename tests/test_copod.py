@@ -115,8 +115,8 @@ def test_copod_rejects_bad_input():
 def test_dos_scores_average_both_matrices():
     rng = np.random.default_rng(6)
     mat = rng.standard_normal((5, 4))
-    dp = pairwise_distances(mat)
-    expected = (copod_scores(dp.euclidean) + copod_scores(dp.cosine)) / 2.0
+    euclidean, cosine = pairwise_distances(mat)
+    expected = (copod_scores(euclidean) + copod_scores(cosine)) / 2.0
     np.testing.assert_array_equal(aggregate_dos(mat).scores, expected)
 
 

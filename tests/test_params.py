@@ -36,15 +36,19 @@ def test_stack_updates_rejects_bad_rows():
         stack_updates([])
 
 
-def distances_of(*rows):
-    return pairwise_distances(np.array(rows, dtype=float))
+def euclidean_of(a, b):
+    return pairwise_distances(np.array([a, b], dtype=float))[0][0, 1]
+
+
+def cosine_of(a, b):
+    return pairwise_distances(np.array([a, b], dtype=float))[1][0, 1]
 
 
 def test_euclidean_examples():
-    assert distances_of(vec(0, 0), vec(3, 4)).euclidean[0, 1] == pytest.approx(5.0)
+    assert euclidean_of(vec(0, 0), vec(3, 4)) == pytest.approx(5.0)
     v = vec(1.5, -2.5, 7.0)
-    assert distances_of(v, v).euclidean[0, 1] == 0.0
-    assert distances_of(vec(1, 2, 3), vec(4, 6, 3)).euclidean[0, 1] == pytest.approx(5.0)
+    assert euclidean_of(v, v) == 0.0
+    assert euclidean_of(vec(1, 2, 3), vec(4, 6, 3)) == pytest.approx(5.0)
     assert oracles.euclidean_distance(vec(0, 0), vec(3, 4)) == pytest.approx(5.0)
 
 
@@ -54,14 +58,14 @@ def test_euclidean_dimension_error():
 
 
 def test_cosine_examples():
-    assert distances_of(vec(1, 0), vec(2, 0)).cosine[0, 1] == pytest.approx(0.0)
-    assert distances_of(vec(1, 0), vec(-1, 0)).cosine[0, 1] == pytest.approx(2.0)
-    assert distances_of(vec(1, 0), vec(0, 1)).cosine[0, 1] == pytest.approx(1.0)
+    assert cosine_of(vec(1, 0), vec(2, 0)) == pytest.approx(0.0)
+    assert cosine_of(vec(1, 0), vec(-1, 0)) == pytest.approx(2.0)
+    assert cosine_of(vec(1, 0), vec(0, 1)) == pytest.approx(1.0)
 
 
 def test_cosine_zero_norm_convention():
-    assert distances_of(vec(0, 0), vec(1, 2)).cosine[0, 1] == 1.0
-    assert distances_of(vec(1, 2), vec(0, 0)).cosine[0, 1] == 1.0
+    assert cosine_of(vec(0, 0), vec(1, 2)) == 1.0
+    assert cosine_of(vec(1, 2), vec(0, 0)) == 1.0
     assert oracles.cosine_distance(vec(0, 0), vec(1, 2)) == 1.0
 
 
@@ -70,9 +74,8 @@ def test_distance_symmetry_random():
     for _ in range(50):
         a = rng.standard_normal(8)
         b = rng.standard_normal(8)
-        ab, ba = distances_of(a, b), distances_of(b, a)
-        assert ab.euclidean[0, 1] == pytest.approx(ba.euclidean[0, 1])
-        assert ab.cosine[0, 1] == pytest.approx(ba.cosine[0, 1])
+        assert euclidean_of(a, b) == pytest.approx(euclidean_of(b, a))
+        assert cosine_of(a, b) == pytest.approx(cosine_of(b, a))
 
 
 def test_cosine_scale_invariance():
@@ -81,32 +84,31 @@ def test_cosine_scale_invariance():
         a = rng.standard_normal(6)
         b = rng.standard_normal(6)
         alpha, beta = rng.uniform(0.01, 100, size=2)
-        assert distances_of(alpha * a, beta * b).cosine[0, 1] == pytest.approx(
-            distances_of(a, b).cosine[0, 1], abs=1e-9)
+        assert cosine_of(alpha * a, beta * b) == pytest.approx(cosine_of(a, b), abs=1e-9)
 
 
 def test_pairwise_identical_updates():
-    dp = pairwise_distances(matrix_of([[1.0, 2.0], [1.0, 2.0]]))
-    assert np.all(dp.euclidean == 0.0)
-    assert np.all(dp.cosine == 0.0)
+    euclidean, cosine = pairwise_distances(matrix_of([[1.0, 2.0], [1.0, 2.0]]))
+    assert np.all(euclidean == 0.0)
+    assert np.all(cosine == 0.0)
 
 
 def test_pairwise_three_scalar_clients():
-    dp = pairwise_distances(matrix_of([0.0, 1.0, 3.0]))
+    euclidean, _ = pairwise_distances(matrix_of([0.0, 1.0, 3.0]))
     expected = np.array([[0, 1, 3], [1, 0, 2], [3, 2, 0]], dtype=float)
-    np.testing.assert_allclose(dp.euclidean, expected)
+    np.testing.assert_allclose(euclidean, expected)
 
 
 def test_pairwise_matrix_invariants_random():
     rng = np.random.default_rng(2)
     for _ in range(20):
         n = rng.integers(2, 8)
-        dp = pairwise_distances(rng.standard_normal((n, 5)))
-        for m in (dp.euclidean, dp.cosine):
+        euclidean, cosine = pairwise_distances(rng.standard_normal((n, 5)))
+        for m in (euclidean, cosine):
             np.testing.assert_allclose(m, m.T)
             assert np.all(np.diag(m) == 0.0)
-        assert np.all(dp.euclidean >= 0.0)
-        assert np.all((dp.cosine >= 0.0) & (dp.cosine <= 2.0))
+        assert np.all(euclidean >= 0.0)
+        assert np.all((cosine >= 0.0) & (cosine <= 2.0))
 
 
 def test_pairwise_needs_two_updates():

@@ -103,22 +103,22 @@ def distance_matrices(draw):
 @PROPERTY
 @given(distance_matrices())
 def test_pairwise_distances_match_per_pair_oracle(m):
-    dp = pairwise_distances(m)
+    euclidean, cosine = pairwise_distances(m)
     n = m.shape[0]
-    assert np.all(np.diag(dp.euclidean) == 0.0) and np.all(np.diag(dp.cosine) == 0.0)
+    assert np.all(np.diag(euclidean) == 0.0) and np.all(np.diag(cosine) == 0.0)
     for i in range(n):
         for j in range(n):
             if i == j:
                 continue
             euc = oracles.euclidean_distance(m[i], m[j])
             cos = oracles.cosine_distance(m[i], m[j])
-            assert abs(dp.euclidean[i, j] - euc) <= 1e-12
+            assert abs(euclidean[i, j] - euc) <= 1e-12
             if np.array_equal(m[i], m[j]):
-                assert dp.euclidean[i, j] == 0.0
+                assert euclidean[i, j] == 0.0
             if not np.any(m[i] * m[i]) or not np.any(m[j] * m[j]) or np.array_equal(m[i], m[j]):
-                assert dp.cosine[i, j] == cos  # zero-norm row or equal rows: exact
+                assert cosine[i, j] == cos  # zero-norm row or equal rows: exact
             else:
-                assert abs(dp.cosine[i, j] - cos) <= 1e-12
+                assert abs(cosine[i, j] - cos) <= 1e-12
 
 
 # Dyadic entries keep every squared distance and score exact in both the
