@@ -27,6 +27,7 @@ from dosfl.harness import run_experiment
 from dosfl.models import ModelSpec, loss_and_grad
 from dosfl.params import softmax_weights
 
+from . import golden
 from .oracles import copod_scores_oracle, krum_select_oracle, median_oracle, \
     trimmed_mean_oracle
 
@@ -61,8 +62,8 @@ def final_acc(records_per_seed):
     return float(np.mean([recs[-1].metrics.accuracy for recs in records_per_seed]))
 
 
-@pytest.fixture(scope="module")
-def grid():
+def run_grid():
+    """Every rule/attack suite the tests below read, keyed by (rule, attack)."""
     runs = {
         ("dos", "no_attack"): run_suite("dos", "no_attack"),
         ("fedavg", "no_attack"): run_suite("fedavg", "no_attack"),
@@ -82,6 +83,11 @@ def grid():
             "dos", "no_attack", plan=expand_groups([(GaussianNoise(), frac)], 10))
     runs[("dos", "noise_frac_0.4")] = runs[("dos", "noise_40")]  # same plan
     return runs
+
+
+@pytest.fixture(scope="module")
+def grid():
+    return run_grid()
 
 
 def test_no_attack_parity(grid):
@@ -146,6 +152,18 @@ def test_crafted_attack_ordering(grid):
     ok_band = abs(krum - CHANCE) <= 0.10
     assert report(ok_gap, f"crafted 40%: dos {dos:.3f} beats krum {krum:.3f} by >= 0.10")
     assert report(ok_band, f"crafted 40%: krum {krum:.3f} within 0.10 of chance {CHANCE}")
+
+
+def test_outputs_match_golden_digests(grid):
+    pinned = golden.load()
+    if pinned["versions"] != golden.versions():
+        pytest.fail(f"golden digests were made with {pinned['versions']}, this run has "
+                    f"{golden.versions()}; regenerate them with python3 tools/golden_digests.py")
+    got = golden.digests(grid)
+    assert sorted(got) == sorted(pinned["digests"])
+    moved = sorted(name for name, digest in pinned["digests"].items() if got[name] != digest)
+    assert report(not moved, f"{len(got) - len(moved)} of {len(got)} runs match their "
+                             f"golden digest; moved: {moved}")
 
 
 def test_copod_matches_bruteforce_oracle():
