@@ -55,15 +55,22 @@ def pairwise_distances(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     n = mat.shape[0]
     if n < 2:
         raise ConfigError(f"pairwise distances need at least 2 updates, got {n}")
-    euc = squareform(pdist(mat, "euclidean"))
+    condensed = pdist(mat, "euclidean")  # pairs i < j in row-major order
+    euc = squareform(condensed)
+    zero = np.flatnonzero(condensed == 0.0)
+    del condensed  # alive to the end, it would add to the peak memory of every call
     cos = squareform(pdist(mat, "cosine"))  # NaN or arbitrary on zero-norm rows, reset below
     # Equal rows are at Euclidean distance 0, but not every such pair is
     # equal: squared differences below ~1e-160 underflow.  Compare each
     # candidate row with the first row of its class of equal rows.
     first = np.arange(n)
-    for i, j in zip(*np.nonzero(np.triu(euc == 0.0, 1))):
-        if first[i] == i and first[j] == j and np.array_equal(mat[i], mat[j]):
-            first[j] = i
+    if zero.size:
+        widths = np.arange(n - 1, 0, -1)
+        starts = np.cumsum(widths) - widths  # condensed index of each pair (i, i + 1)
+        rows = np.searchsorted(starts, zero, side="right") - 1
+        for i, j in zip(rows, zero - starts[rows] + rows + 1):
+            if first[i] == i and first[j] == j and np.array_equal(mat[i], mat[j]):
+                first[j] = i
     cos[first[:, None] == first[None, :]] = 0.0
     # A squared norm is 0 exactly when the norm is, also when every square underflows.
     zero_norm = np.einsum("ij,ij->i", mat, mat) == 0.0

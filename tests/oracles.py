@@ -134,6 +134,17 @@ def tie_runs_oracle(ranked):
     return starts, ends
 
 
+def ecdf_counts_oracle(block):
+    """Per row of a (d, n) block, the count of values below each value and the
+    count of values at most it, in input order."""
+    below, at_most = [], []
+    for row in block:
+        values = [float(x) for x in row]
+        below.append([sum(1 for y in values if y < x) for x in values])
+        at_most.append([sum(1 for y in values if y <= x) for x in values])
+    return below, at_most
+
+
 def mann_whitney_auc_oracle(scores, positive):
     """Share of (positive, negative) pairs the positive outscores, ties
     counting 0.5; None if either side is empty."""

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from dosfl.aggregators import aggregate_dos
-from dosfl.copod import copod_scores
+from dosfl.copod import _neg_log_table, copod_scores
 from dosfl.errors import ConfigError, NumericError
 from dosfl.params import pairwise_distances
 
@@ -103,6 +103,15 @@ def test_copod_matches_oracle_random():
         d = int(rng.integers(1, 6))
         m = np.round(rng.standard_normal((n, d)) * 3, 1)  # ties included
         np.testing.assert_allclose(copod_scores(m), copod_scores_oracle(m), atol=1e-9)
+
+
+def test_neg_log_table_equals_elementwise_log_bitwise():
+    # read through a shuffled 2-D index of counts, as copod_scores reads it
+    rng = np.random.default_rng(6)
+    for n in range(2, 3001):
+        counts = np.stack([rng.permutation(n), rng.permutation(n)]) + 1
+        got = _neg_log_table(n)[counts - 1]
+        assert got.tobytes() == (-np.log(counts / n)).tobytes(), f"n = {n}"
 
 
 def test_copod_rejects_bad_input():

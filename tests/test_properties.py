@@ -5,6 +5,8 @@ underflowing rows, exact or near duplicates, and NaNs in sorted runs.  The
 batched local trainer is checked the same way against a per-client loop, on
 ragged shards."""
 
+from unittest import mock
+
 import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -12,7 +14,7 @@ from scipy.spatial.distance import pdist, squareform
 
 from dosfl.aggregators import aggregate_krum, aggregate_median, krum_select
 from dosfl.attacks import Crafted, attack_crafted, local_krum_oracle
-from dosfl.copod import copod_scores, tie_runs
+from dosfl.copod import _ecdf_counts, copod_scores, tie_runs
 from dosfl.data import LabeledDataset
 from dosfl.harness import TrainConfig, local_train
 from dosfl.models import ModelSpec
@@ -62,6 +64,36 @@ def test_tie_runs_match_counts_with_ties_and_nans(columns):
     for runs in (tie_runs(ranked.T), tie_runs(np.ascontiguousarray(ranked.T))):
         for col, start, end in zip(ranked.T, *runs, strict=True):
             assert (start.tolist(), end.tolist()) == oracles.tie_runs_oracle(col)
+
+
+@st.composite
+def ecdf_blocks(draw):
+    """A (d, n) block with distinct values in every row, then, by kind, one
+    value repeated in every row or in one row only."""
+    kind = draw(st.sampled_from(["tie_free", "ties_every_row", "one_tie"]))
+    n = draw(st.integers(1 if kind == "tie_free" else 2, 12))
+    d = draw(st.integers(1, 5))
+    # 0.0 == -0.0, so unique rows hold at most one zero
+    block = np.array([draw(st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                                    min_size=n, max_size=n, unique=True))
+                      for _ in range(d)])
+    tied = range(d) if kind == "ties_every_row" else []
+    if kind == "one_tie":
+        tied = [draw(st.integers(0, d - 1))]
+    for r in tied:
+        i, j = draw(st.permutations(range(n)))[:2]
+        block[r, j] = block[r, i]
+    return kind, block
+
+
+@PROPERTY
+@given(ecdf_blocks())
+def test_ecdf_counts_match_oracle_exactly_on_both_paths(case):
+    kind, block = case
+    with mock.patch("dosfl.copod.tie_runs", wraps=tie_runs) as slow_path:
+        below, at_most = _ecdf_counts(block)
+    assert slow_path.called == (kind != "tie_free")  # one tie sends the whole block
+    assert (below.tolist(), at_most.tolist()) == oracles.ecdf_counts_oracle(block)
 
 
 @PROPERTY
