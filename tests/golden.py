@@ -5,7 +5,9 @@ Each experiment's records are hashed by ``perfbench/worker.py``'s
 exact bytes.  The pinned runs are the acceptance grid's 70 plus the short
 runs below, which cover what the grid lacks.  A change that moves any bit of
 any record moves its digest; one that changes bits on purpose regenerates the
-file with ``python3 tools/golden_digests.py``.
+file with ``python3 tools/golden_digests.py``.  A record holds weights,
+scores and metrics, not the model, so a last-bit change in training shows
+only where it changes one of those.
 
 The digests hold only for the numpy, scipy and BLAS builds that made them,
 so the file records those versions too.

@@ -88,6 +88,7 @@ def ecdf_blocks(draw):
 
 @PROPERTY
 @given(ecdf_blocks())
+@example(("one_tie", np.array([[1.0, 0.0, -0.0]])))  # signed zeros are equal
 def test_ecdf_counts_match_oracle_exactly_on_both_paths(case):
     kind, block = case
     with mock.patch("dosfl.copod.tie_runs", wraps=tie_runs) as slow_path:
