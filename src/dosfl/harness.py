@@ -4,7 +4,10 @@ One experiment: generate synthetic data, partition it across clients, poison
 the shards named by the attack plan, then run T rounds of broadcast, local
 SGD, attack injection, aggregation, and test-set evaluation.  Every random
 draw comes from a stream keyed by (master seed, purpose, client, round), so
-client i's honest training never depends on what other clients do.
+client i's honest training never depends on what other clients do.  The
+streams come from a vectorised ``SeedSequence`` table over blocks of rounds,
+bitwise equal to ``default_rng(SeedSequence([seed, tag, client, round]))``,
+with the oracle in ``tests/oracles.py``.
 
 Local SGD is one batched call per round: the clients' parameters are rows of
 an (n, P) matrix, and the clients whose current batch has the same size take
@@ -19,9 +22,11 @@ from __future__ import annotations
 
 import functools
 import hashlib
+from collections.abc import Callable, Iterator, Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 from .aggregators import AggregatorSpec, krum_neighbors, run_rule, trim_count
 from .attacks import AttackPlan, apply_attack_plan, attack_label_flip
@@ -69,15 +74,126 @@ class RoundRecord:
 
 def seed_stream(master_seed: int, purpose: str, client: int = 0,
                 round_index: int = 0) -> np.random.Generator:
-    """Independent generator keyed by (master seed, purpose, client, round)."""
-    return np.random.default_rng(
-        np.random.SeedSequence([master_seed, _purpose_tag(purpose), client, round_index]))
+    """Independent generator keyed by (master seed, purpose, client, round).
+
+    It is the one-key case of the vectorised ``SeedSequence`` table that
+    :func:`run_experiment` derives over blocks of rounds, bitwise equal to
+    ``default_rng(SeedSequence([master_seed, tag, client, round_index]))``,
+    with the oracle in ``tests/oracles.py``.
+    """
+    return _generator(_stream_states(master_seed, _purpose_tag(purpose),
+                                     [client], [round_index])[0, 0])
 
 
 @functools.cache
 def _purpose_tag(purpose: str) -> int:
     """First 8 bytes of the purpose's sha256, big-endian: the stream key's tag."""
     return int.from_bytes(hashlib.sha256(purpose.encode()).digest()[:8], "big")
+
+
+_MASK32 = 0xFFFFFFFF
+# rounds whose stream states one _stream_states call derives
+_BLOCK_ROUNDS = 8
+
+
+def _hash_constants(init: int, mult: int, count: int) -> np.ndarray:
+    """SeedSequence's hash constants: row k is (xor constant, multiplier) of step k."""
+    consts = [init]
+    for _ in range(count):
+        consts.append(consts[-1] * mult & _MASK32)  # Python ints: no uint32 overflow warning
+    return np.array(list(zip(consts, consts[1:])), dtype=np.uint32)[:, :, None, None]
+
+
+# numpy's SeedSequence with its pool of 4 words: INIT_A and MULT_A hash the
+# entropy into the pool, INIT_B and MULT_B hash the pool into the state
+_MIX_CONSTS = _hash_constants(0x43B0D7E5, 0x931E8875, 24)
+_STATE_CONSTS = _hash_constants(0x8B51F9DD, 0x58F38DED, 8)
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+
+
+def _hash(values: np.ndarray, consts: np.ndarray) -> np.ndarray:
+    """SeedSequence's hashmix of ``values`` with each step's constants; uint32 wraps."""
+    mixed = (values ^ consts[:, 0]) * consts[:, 1]
+    return mixed ^ mixed >> 16
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    mixed = _MIX_L * x - _MIX_R * y
+    return mixed ^ mixed >> 16
+
+
+def _key_words(value: int, name: str, words: int) -> list[int]:
+    """numpy's little-endian uint32 words of an int key; 0 is one word."""
+    if not 0 <= value < 2 ** (32 * words):
+        raise ConfigError(f"{name} {value} is not a {32 * words}-bit stream key")
+    return [value & _MASK32] if value <= _MASK32 else [value & _MASK32, value >> 32]
+
+
+def _stream_states(seed: int, tag: int, clients: Sequence[int],
+                   rounds: Sequence[int]) -> np.ndarray:
+    """PCG64 seed states of every (client, round) key under (seed, tag).
+
+    Entry [i, j] of the (len(clients), len(rounds), 4) uint64 result is
+    ``SeedSequence([seed, tag, clients[i], rounds[j]]).generate_state(4,
+    np.uint64)``.  numpy's entropy mixing and state generation run once,
+    over a (pool word, client, round) uint32 array; a pool word's hashes
+    into the other three words are one step.  The seed and the tag may each
+    be one or two words.  A client or round of 2**32 or more would be two
+    words and raises :class:`ConfigError`.
+    """
+    for name, keys in (("client id", clients), ("round index", rounds)):
+        if len(keys):
+            _key_words(min(keys), name, 1)
+            _key_words(max(keys), name, 1)
+    prefix = _key_words(seed, "seed", 2) + _key_words(tag, "purpose tag", 2)
+    entropy = np.empty((len(prefix) + 2, len(clients), len(rounds)), dtype=np.uint32)
+    entropy[:-2] = np.array(prefix, dtype=np.uint32)[:, None, None]
+    entropy[-2] = np.asarray(clients, dtype=np.uint32)[:, None]
+    entropy[-1] = np.asarray(rounds, dtype=np.uint32)
+    pool = _hash(entropy[:4], _MIX_CONSTS[:4])
+    step = 4
+    for src in range(4):
+        others = [dst for dst in range(4) if dst != src]
+        pool[others] = _mix(pool[others], _hash(pool[src], _MIX_CONSTS[step:step + 3]))
+        step += 3
+    for word in entropy[4:]:  # entropy beyond the pool mixes into every pool word
+        pool = _mix(pool, _hash(word, _MIX_CONSTS[step:step + 4]))
+        step += 4
+    state = _hash(np.concatenate([pool, pool]), _STATE_CONSTS)  # 8 words cycle the pool
+    return state.transpose(1, 2, 0).astype("<u4", order="C").view("<u8").astype(np.uint64,
+                                                                                copy=False)
+
+
+class _SeedState(ISeedSequence):
+    """A key's precomputed ``generate_state(4, np.uint64)``, all PCG64 asks for."""
+
+    def __init__(self, state: np.ndarray):
+        self.state = state
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        if n_words != 4 or np.dtype(dtype) != np.uint64:
+            raise ValueError("only the 4 uint64 words of a PCG64 seed are precomputed")
+        return self.state
+
+
+def _generator(state: np.ndarray) -> np.random.Generator:
+    return np.random.Generator(np.random.PCG64(_SeedState(state)))
+
+
+def _round_streams(setup: SimulationSetup, purpose: str,
+                   clients: Sequence[int]) -> Iterator[Callable[[int], np.random.Generator]]:
+    """For each round in turn, the map from a client id to its ``purpose`` stream.
+
+    States are derived ``_BLOCK_ROUNDS`` rounds at a time, when the loop
+    first reaches the block; generators are built only when asked for.
+    """
+    row = {cid: i for i, cid in enumerate(clients)}
+    tag = _purpose_tag(purpose)
+    for start in range(0, setup.train.rounds, _BLOCK_ROUNDS):
+        block = range(start, min(start + _BLOCK_ROUNDS, setup.train.rounds))
+        states = _stream_states(setup.seed, tag, clients, block)
+        for j in range(len(block)):
+            yield lambda cid, j=j: _generator(states[row[cid], j])
 
 
 def local_train(model: ModelSpec, params: np.ndarray, shards: list[LabeledDataset],
@@ -247,14 +363,15 @@ def run_experiment(setup: SimulationSetup) -> list[RoundRecord]:
     theta = init_params(setup.model, seed_stream(setup.seed, "init"))
     attack_names = tuple(setup.plan.kind_name_for(i) for i in range(setup.clients))
 
+    train_streams = _round_streams(setup, "train", range(setup.clients))
+    attack_streams = _round_streams(setup, "attack", setup.plan.malicious_ids())
     records: list[RoundRecord] = []
-    for t in range(setup.train.rounds):
+    for t, (train_rng, attack_rng) in enumerate(zip(train_streams, attack_streams,
+                                                    strict=True)):
         try:
             honest = local_train(setup.model, theta, shards, setup.train,
-                                 [seed_stream(setup.seed, "train", cid, t)
-                                  for cid in range(setup.clients)])
-            updates = apply_attack_plan(setup.plan, honest, theta,
-                                        lambda cid: seed_stream(setup.seed, "attack", cid, t))
+                                 [train_rng(cid) for cid in range(setup.clients)])
+            updates = apply_attack_plan(setup.plan, honest, theta, attack_rng)
             result = run_rule(setup.aggregator, updates)
             theta = result.new_global
             metrics = evaluate(setup.model, theta, test)

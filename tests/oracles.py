@@ -204,3 +204,8 @@ def _reference_grad(spec, flat, features, labels):
     d_hidden = (delta @ w2) * (pre > 0.0)
     return np.concatenate([(d_hidden.T @ features).ravel(), d_hidden.sum(axis=0),
                            (delta.T @ hidden).ravel(), delta.sum(axis=0)])
+
+
+def reference_seed_stream(seed, tag, client, round_index):
+    """numpy's own generator for one stream key, built by ``SeedSequence``."""
+    return np.random.default_rng(np.random.SeedSequence([seed, tag, client, round_index]))

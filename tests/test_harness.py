@@ -3,8 +3,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from dosfl import harness
 from dosfl.aggregators import AggregatorSpec
-from dosfl.attacks import AttackPlan, GaussianNoise, LabelFlip, Scale
+from dosfl.attacks import AttackPlan, Crafted, GaussianNoise, LabelFlip, Scale
 from dosfl.data import (
     LabeledDataset,
     generate_synthetic,
@@ -25,7 +26,7 @@ from dosfl.harness import (
 )
 from dosfl.models import ModelSpec, init_params, loss_and_grad, predict_proba
 
-from .oracles import mann_whitney_auc_oracle, reference_local_train
+from .oracles import mann_whitney_auc_oracle, reference_local_train, reference_seed_stream
 
 
 def rng_of(seed):
@@ -490,3 +491,66 @@ def test_seed_stream_independence():
     np.testing.assert_array_equal(a, b)
     assert not np.array_equal(a, c)
     assert not np.array_equal(a, d)
+
+
+def test_run_experiment_hands_out_seed_sequence_streams(monkeypatch):
+    # The golden digests hash rank statistics only, so they cannot show that
+    # the streams are unchanged; this compares every generator at hand-over.
+    setup = small_setup(clients=6, partition="label_skew", plan=AttackPlan(
+        assignments={1: GaussianNoise(1.0), 3: Crafted(), 4: Crafted()}))
+    handed = []  # (purpose, client, round, bit generator state)
+    rounds = []  # one entry per local_train call
+    train, apply_plan = harness.local_train, harness.apply_attack_plan
+
+    def recording_train(model, params, shards, cfg, rngs):
+        rounds.append(len(rounds))
+        handed.extend(("train", cid, rounds[-1], rng.bit_generator.state)
+                      for cid, rng in enumerate(rngs))
+        return train(model, params, shards, cfg, rngs)
+
+    def recording_apply(plan, honest, global_prev, rng_for):
+        t = rounds[-1]
+
+        def recording_rng_for(cid):
+            rng = rng_for(cid)
+            handed.append(("attack", cid, t, rng.bit_generator.state))
+            return rng
+        return apply_plan(plan, honest, global_prev, recording_rng_for)
+
+    monkeypatch.setattr(harness, "local_train", recording_train)
+    monkeypatch.setattr(harness, "apply_attack_plan", recording_apply)
+    run_experiment(setup)
+    assert sorted(key for *key, _ in handed) == sorted(
+        [["train", cid, t] for cid in range(6) for t in range(3)]
+        + [["attack", cid, t] for cid in (1, 3, 4) for t in range(3)])
+    for purpose, cid, t, state in handed:
+        ref = reference_seed_stream(setup.seed, harness._purpose_tag(purpose), cid, t)
+        assert state == ref.bit_generator.state, (purpose, cid, t)
+
+
+def test_stream_keys_beyond_32_bits_are_refused():
+    with pytest.raises(ConfigError, match="round index 4294967296"):
+        seed_stream(0, "train", 0, 2 ** 32)
+    with pytest.raises(ConfigError, match="client id 4294967296"):
+        seed_stream(0, "train", 2 ** 32, 0)
+    with pytest.raises(ConfigError, match="round index -1"):
+        seed_stream(0, "train", 0, -1)
+    last = seed_stream(0, "train", 2 ** 32 - 1, 2 ** 32 - 1)
+    ref = reference_seed_stream(0, harness._purpose_tag("train"), 2 ** 32 - 1, 2 ** 32 - 1)
+    assert last.bit_generator.state == ref.bit_generator.state
+
+
+def test_stream_states_are_built_a_block_of_rounds_at_a_time(monkeypatch):
+    built = []
+    stream_states = harness._stream_states
+
+    def recording(*args):
+        built.append(stream_states(*args))
+        return built[-1]
+
+    monkeypatch.setattr(harness, "_stream_states", recording)
+    for rounds in (10 ** 9, 12):
+        setup = small_setup(train=TrainConfig(rounds=rounds))
+        next(harness._round_streams(setup, "train", range(setup.clients)))
+    huge, twelve = built
+    assert huge.nbytes <= twelve.nbytes

@@ -16,7 +16,7 @@ from dosfl.aggregators import aggregate_krum, aggregate_median, krum_select
 from dosfl.attacks import Crafted, attack_crafted, local_krum_oracle
 from dosfl.copod import _ecdf_counts, copod_scores, tie_runs
 from dosfl.data import LabeledDataset
-from dosfl.harness import TrainConfig, local_train
+from dosfl.harness import TrainConfig, _generator, _stream_states, local_train
 from dosfl.models import ModelSpec
 from dosfl.params import pairwise_distances
 
@@ -268,3 +268,32 @@ def test_local_train_matches_per_client_reference(case):
     for i, shard in enumerate(shards):
         ref = oracles.reference_local_train(spec, params, shard, cfg, np.random.default_rng(i))
         np.testing.assert_array_equal(out[i], ref)
+
+
+@st.composite
+def stream_keys(draw):
+    """A seed and a tag anywhere in 64 bits, 1-50 distinct 32-bit client ids
+    and 1-5 consecutive round indices."""
+    clients = draw(st.lists(st.integers(0, 2 ** 32 - 1), min_size=1, max_size=50, unique=True))
+    start = draw(st.integers(0, 2 ** 32 - 5))
+    rounds = range(start, start + draw(st.integers(1, 5)))
+    return draw(st.integers(0, 2 ** 64 - 1)), draw(st.integers(0, 2 ** 64 - 1)), clients, rounds
+
+
+@PROPERTY
+@given(stream_keys())
+@example((0, 0, [0], range(0, 1)))
+@example((2 ** 32 - 1, 2 ** 32, [2 ** 32 - 1, 0, 1], range(2 ** 32 - 5, 2 ** 32)))
+@example((2 ** 32, 2 ** 32 - 1, [1, 2 ** 31], range(0, 3)))
+@example((2 ** 64 - 1, 2 ** 64 - 1, [0, 2 ** 32 - 1], range(2 ** 32 - 2, 2 ** 32)))
+@example((1, 2 ** 64 - 1, [7], range(1, 2)))
+def test_stream_states_match_seed_sequence(case):
+    seed, tag, clients, rounds = case
+    states = _stream_states(seed, tag, clients, rounds)
+    assert states.shape == (len(clients), len(rounds), 4)
+    for i, cid in enumerate(clients):
+        for j, t in enumerate(rounds):
+            ours = _generator(states[i, j]).bit_generator
+            ref = oracles.reference_seed_stream(seed, tag, cid, t).bit_generator
+            assert ours.state == ref.state
+            np.testing.assert_array_equal(ours.random_raw(4), ref.random_raw(4))
