@@ -94,6 +94,11 @@ class AttackPlan:
     def malicious_ids(self) -> list[int]:
         return sorted(self.assignments)
 
+    def stream_ids(self) -> list[int]:
+        """Clients whose attack draws from their attack stream: noise and crafted."""
+        return [i for i, k in sorted(self.assignments.items())
+                if isinstance(k, (GaussianNoise, Crafted))]
+
     def label_flip_items(self) -> list[tuple[int, LabelFlip]]:
         return [(i, k) for i, k in sorted(self.assignments.items()) if isinstance(k, LabelFlip)]
 

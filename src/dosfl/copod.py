@@ -11,15 +11,19 @@ the skewed tail of any column scores high, while a sample in the short tail
 of a skewed column counts only half.
 
 The ECDFs of all columns come from one sort per column of the transposed
-matrix.  When no column holds two equal values, a point's count below is its
-rank in sorted order and its count at most is one more.  Otherwise the
-weak-inequality counts at a point are the ends of its tie run in sorted
-order, found by :func:`tie_runs` (which evaluation also uses).  The counts
-are exact integers, so the scores do not depend on which way they are found,
-and both tails read their logarithms from one table of -ln(k / n) for
-k = 1..n.
-The skewness signs, from the standardised third moment and so scale-free,
-are reductions along the same transposed block.
+matrix, and each column's terms are built in sorted order.  When no column
+holds two equal values, sorted position p has p values below it and p + 1
+at most it, so with L the table of -ln(k / n) for k = 1..n and R its
+reverse, a column's terms are one of three length-n vectors picked by its
+skewness sign: max(L, (L + R) / 2), max(L + R, (L + R) / 2) or
+max(R, (L + R) / 2).  Otherwise the weak-inequality counts at a position are
+the ends of its tie run, found by :func:`tie_runs` (which evaluation also
+uses), and both tails read the same table at those integer counts.  One
+``np.bincount`` over the sort order then adds each sample's terms in column
+order, starting from 0.0 as a sum over the columns in input order does, so
+the scores are bitwise the same on either path.  The skewness signs, from
+the standardised third moment and so scale-free, are reductions along the
+same transposed block.
 
 Scoring is rank-based apart from the skewness sign, so the scores are
 invariant under negation and under positive-affine per-column maps, which
@@ -57,14 +61,21 @@ def copod_scores(matrix) -> np.ndarray:
         raise NumericError("score matrix contains NaN or Inf")
 
     block = np.ascontiguousarray(m.T)  # one row per column of the input
-    below, at_most = _ecdf_counts(block)
+    sign = _skewness_signs(block)
+    order = np.argsort(block, axis=1)  # the order within a tie run does not matter
+    ranked = np.take_along_axis(block, order, axis=1)
+    del block  # a (d, n) array kept past its use adds to the peak of every call
+    counts = _tied_counts(ranked)
+    del ranked
     neg_log = _neg_log_table(n)
-    left = neg_log[at_most - 1]
-    right = neg_log[n - 1 - below]
-    sign = _skewness_signs(block)[:, None]
-    tail = np.where(sign < 0, left, np.where(sign > 0, right, left + right))
-    # summing along axis 0 adds the columns in order, as a running sum would
-    return np.maximum(tail, (left + right) / 2.0).sum(axis=0)
+    if counts is None:  # sorted position p has the counts p and p + 1
+        terms = _fused_tails(neg_log, neg_log[::-1], np.arange(-1, 2)[:, None])[sign + 1]
+    else:
+        below, at_most = counts
+        terms = _fused_tails(neg_log[at_most - 1], neg_log[n - 1 - below], sign[:, None])
+    # bincount adds each sample's terms in column order, starting from 0.0 as
+    # .sum(axis=0) does, so the scores are bitwise that sum in input order
+    return np.bincount(order.ravel(), weights=terms.ravel(), minlength=n)
 
 
 def tie_runs(ranked: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -84,26 +95,22 @@ def tie_runs(ranked: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return starts(ranked), ranked.shape[-1] - starts(ranked[..., ::-1])[..., ::-1]
 
 
-def _ecdf_counts(block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """For each row x of a (d, n) block, |{k : x_k < x_i}| and |{k : x_k <= x_i}|
-    at every i, in input order.
+def _tied_counts(ranked: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+    """For a (d, n) block sorted along its rows, |{k : x_k < x}| and
+    |{k : x_k <= x}| at every sorted position, or None when no row holds two
+    equal values: then position p has the counts p and p + 1.
 
-    A block with no two equal values in any row is tie-free: each value's
-    count below is its rank, the inverse of the sort order, and its count at
-    most is one more.  Any tie in the block sends the whole block through
-    :func:`tie_runs`.  Each temporary is made late and dies on return: at
-    200 x 200, holding the sort order through the scoring more than doubles a
-    call's minor page faults (437 -> 950) and adds ~0.8 ms."""
-    order = np.argsort(block, axis=1)  # the order within a tie run does not matter
-    ranked = np.take_along_axis(block, order, axis=1)
+    Any tie in the block sends the whole block through :func:`tie_runs`."""
     if not (ranked[:, 1:] == ranked[:, :-1]).any():
-        below = np.empty_like(order)
-        np.put_along_axis(below, order, np.arange(block.shape[1]), axis=1)
-        return below, below + 1
-    counts = (np.empty_like(order), np.empty_like(order))
-    for out, run in zip(counts, tie_runs(ranked)):
-        np.put_along_axis(out, order, run, axis=1)
-    return counts
+        return None
+    return tie_runs(ranked)
+
+
+def _fused_tails(left: np.ndarray, right: np.ndarray, sign: np.ndarray) -> np.ndarray:
+    """max(S, (L + R) / 2) elementwise, where the skewed tail S is L, L + R or
+    R for the broadcast skew sign -1, 0 or +1."""
+    tail = np.where(sign < 0, left, np.where(sign > 0, right, left + right))
+    return np.maximum(tail, (left + right) / 2.0)
 
 
 def _neg_log_table(n: int) -> np.ndarray:
@@ -114,17 +121,22 @@ def _neg_log_table(n: int) -> np.ndarray:
 
 
 def _skewness_signs(block: np.ndarray) -> np.ndarray:
-    """Skewness sign of each row of a (d, n) block, reduced along the rows.
+    """Skewness sign of each row of a (d, n) block as -1, 0 or +1, reduced
+    along the rows.
 
     Constant rows map to 0.  Each row's deviations are divided by their
     largest magnitude, which keeps the powers from under- or overflowing.
+    The deviations and their squares are the only (d, n) temporaries; the
+    cubes overwrite the deviations.
     """
     constant = block.min(axis=1) == block.max(axis=1)
     dev = block - block.mean(axis=1, keepdims=True)
     dev[constant] = 0.0  # the mean of equal values can be off by rounding
-    dev /= np.where(constant, 1.0, np.abs(dev).max(axis=1))[:, None]
+    dev /= np.where(constant, 1.0, np.maximum(dev.max(axis=1), -dev.min(axis=1)))[:, None]
     sq = dev * dev
+    # sq * dev, not dev**3: numpy's pow is ~50x slower on negative bases
+    cube = np.multiply(sq, dev, out=dev)
     with np.errstate(invalid="ignore"):  # 0 / 0 on constant rows
-        # sq * dev, not dev**3: numpy's pow is ~50x slower on negative bases
-        g1 = np.mean(sq * dev, axis=1) / np.mean(sq, axis=1) ** 1.5
-    return np.where(constant | (np.abs(g1) < 1e-12), 0.0, np.sign(g1))
+        g1 = np.mean(cube, axis=1) / np.mean(sq, axis=1) ** 1.5
+    # |g1| < 1e-12 has sign 0, and so has the NaN of a constant row
+    return (g1 >= 1e-12).astype(np.intp) - (g1 <= -1e-12)

@@ -185,13 +185,14 @@ def _round_streams(setup: SimulationSetup, purpose: str,
     """For each round in turn, the map from a client id to its ``purpose`` stream.
 
     States are derived ``_BLOCK_ROUNDS`` rounds at a time, when the loop
-    first reaches the block; generators are built only when asked for.
+    first reaches the block, and not at all when ``clients`` is empty;
+    generators are built only when asked for.
     """
     row = {cid: i for i, cid in enumerate(clients)}
     tag = _purpose_tag(purpose)
     for start in range(0, setup.train.rounds, _BLOCK_ROUNDS):
         block = range(start, min(start + _BLOCK_ROUNDS, setup.train.rounds))
-        states = _stream_states(setup.seed, tag, clients, block)
+        states = _stream_states(setup.seed, tag, clients, block) if clients else None
         for j in range(len(block)):
             yield lambda cid, j=j: _generator(states[row[cid], j])
 
@@ -364,7 +365,7 @@ def run_experiment(setup: SimulationSetup) -> list[RoundRecord]:
     attack_names = tuple(setup.plan.kind_name_for(i) for i in range(setup.clients))
 
     train_streams = _round_streams(setup, "train", range(setup.clients))
-    attack_streams = _round_streams(setup, "attack", setup.plan.malicious_ids())
+    attack_streams = _round_streams(setup, "attack", setup.plan.stream_ids())
     records: list[RoundRecord] = []
     for t, (train_rng, attack_rng) in enumerate(zip(train_streams, attack_streams,
                                                     strict=True)):

@@ -62,16 +62,17 @@ def pairwise_distances(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     cos = squareform(pdist(mat, "cosine"))  # NaN or arbitrary on zero-norm rows, reset below
     # Equal rows are at Euclidean distance 0, but not every such pair is
     # equal: squared differences below ~1e-160 underflow.  Compare each
-    # candidate row with the first row of its class of equal rows.
-    first = np.arange(n)
+    # candidate row with the first row of its class of equal rows.  With no
+    # candidate, each row is its own class, and the diagonal is zeroed below.
     if zero.size:
+        first = np.arange(n)
         widths = np.arange(n - 1, 0, -1)
         starts = np.cumsum(widths) - widths  # condensed index of each pair (i, i + 1)
         rows = np.searchsorted(starts, zero, side="right") - 1
         for i, j in zip(rows, zero - starts[rows] + rows + 1):
             if first[i] == i and first[j] == j and np.array_equal(mat[i], mat[j]):
                 first[j] = i
-    cos[first[:, None] == first[None, :]] = 0.0
+        cos[first[:, None] == first[None, :]] = 0.0
     # A squared norm is 0 exactly when the norm is, also when every square underflows.
     zero_norm = np.einsum("ij,ij->i", mat, mat) == 0.0
     cos[zero_norm, :] = 1.0

@@ -1,9 +1,11 @@
 """Independent brute-force oracles, kept deliberately loop-based and
 numpy-free in their arithmetic so they share nothing with the library path.
 
-The one exception is the local-training reference: the batched trainer must
-match it bit for bit, so it runs one client at a time in plain 2-D numpy,
-with its own layer slicing and products and no call into the library."""
+The exceptions are the references that the library must match bit for bit.
+The local-training reference runs one client at a time in plain 2-D numpy,
+with its own layer slicing and products and no call into the library.  The
+COPOD reference computes every float in input order, as the sorted-order
+kernel must reproduce it."""
 
 import math
 
@@ -73,6 +75,32 @@ def copod_scores_oracle(matrix):
             total += max(tail, (left + right) / 2.0)
         scores.append(total)
     return scores
+
+
+def copod_scores_reference(matrix):
+    """COPOD's vectorised formula in input order, the arithmetic of every
+    fused term and of the column sum written out, for bitwise comparison.
+
+    Each value's ECDF counts come from direct comparison, both tails are
+    -ln(count / n), the skew sign is the scale-free standardised third
+    moment of each contiguous column, and the terms max(S, (L + R) / 2) of
+    the (d, n) block are summed over its rows."""
+    block = np.ascontiguousarray(np.asarray(matrix, dtype=np.float64).T)
+    n = block.shape[1]
+    below = (block[:, None, :] < block[:, :, None]).sum(axis=2)
+    at_most = (block[:, None, :] <= block[:, :, None]).sum(axis=2)
+    left = -np.log(at_most / n)
+    right = -np.log((n - below) / n)
+    constant = block.min(axis=1) == block.max(axis=1)
+    dev = block - block.mean(axis=1, keepdims=True)
+    dev[constant] = 0.0
+    dev /= np.where(constant, 1.0, np.abs(dev).max(axis=1))[:, None]
+    sq = dev * dev
+    with np.errstate(invalid="ignore"):
+        g1 = np.mean(sq * dev, axis=1) / np.mean(sq, axis=1) ** 1.5
+    sign = np.where(constant | (np.abs(g1) < 1e-12), 0.0, np.sign(g1))[:, None]
+    tail = np.where(sign < 0, left, np.where(sign > 0, right, left + right))
+    return np.maximum(tail, (left + right) / 2.0).sum(axis=0)
 
 
 def median_oracle(rows):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -112,6 +114,21 @@ def test_neg_log_table_equals_elementwise_log_bitwise():
         counts = np.stack([rng.permutation(n), rng.permutation(n)]) + 1
         got = _neg_log_table(n)[counts - 1]
         assert got.tobytes() == (-np.log(counts / n)).tobytes(), f"n = {n}"
+
+
+def test_copod_peak_memory_is_four_score_matrices():
+    # a tie-free 200 x 200 distance matrix, scored in sorted order: the
+    # block, its sort order and its sorted values are the largest temporaries
+    n = 200
+    dist = pairwise_distances(np.random.default_rng(10).standard_normal((n, 84)))[0]
+    assert all(np.unique(col).size == n for col in dist.T)
+    tracemalloc.start()
+    try:
+        copod_scores(dist)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * n * n * 8
 
 
 def test_copod_rejects_bad_input():

@@ -528,6 +528,26 @@ def test_run_experiment_hands_out_seed_sequence_streams(monkeypatch):
         assert state == ref.bit_generator.state, (purpose, cid, t)
 
 
+def test_attack_states_are_derived_only_for_clients_that_draw(monkeypatch):
+    derived = []  # (tag, clients) of each _stream_states call
+    stream_states = harness._stream_states
+
+    def recording(seed, tag, clients, rounds):
+        derived.append((tag, list(clients)))
+        return stream_states(seed, tag, clients, rounds)
+
+    monkeypatch.setattr(harness, "_stream_states", recording)
+    attack = harness._purpose_tag("attack")
+    for plan, drawing in ((AttackPlan(), []),
+                          (AttackPlan(assignments={2: LabelFlip(), 3: LabelFlip()}), []),
+                          (AttackPlan(assignments={1: Scale(-2.0), 2: GaussianNoise(1.0),
+                                                   3: Crafted()}), [2, 3])):
+        derived.clear()
+        run_experiment(small_setup(plan=plan))
+        assert [clients for tag, clients in derived if tag == attack] == (
+            [drawing] if drawing else [])
+
+
 def test_stream_keys_beyond_32_bits_are_refused():
     with pytest.raises(ConfigError, match="round index 4294967296"):
         seed_stream(0, "train", 0, 2 ** 32)

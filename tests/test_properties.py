@@ -14,7 +14,7 @@ from scipy.spatial.distance import pdist, squareform
 
 from dosfl.aggregators import aggregate_krum, aggregate_median, krum_select
 from dosfl.attacks import Crafted, attack_crafted, local_krum_oracle
-from dosfl.copod import _ecdf_counts, copod_scores, tie_runs
+from dosfl.copod import _tied_counts, copod_scores, tie_runs
 from dosfl.data import LabeledDataset
 from dosfl.harness import TrainConfig, _generator, _stream_states, local_train
 from dosfl.models import ModelSpec
@@ -91,10 +91,50 @@ def ecdf_blocks(draw):
 @example(("one_tie", np.array([[1.0, 0.0, -0.0]])))  # signed zeros are equal
 def test_ecdf_counts_match_oracle_exactly_on_both_paths(case):
     kind, block = case
+    order = np.argsort(block, axis=1)
     with mock.patch("dosfl.copod.tie_runs", wraps=tie_runs) as slow_path:
-        below, at_most = _ecdf_counts(block)
+        counts = _tied_counts(np.take_along_axis(block, order, axis=1))
     assert slow_path.called == (kind != "tie_free")  # one tie sends the whole block
+    if counts is None:  # sorted position p has the counts p and p + 1
+        ranks = np.broadcast_to(np.arange(block.shape[1]), block.shape)
+        counts = (ranks, ranks + 1)
+    below, at_most = (np.empty_like(order), np.empty_like(order))
+    for out, run in zip((below, at_most), counts):
+        np.put_along_axis(out, order, run, axis=1)  # back to input order
     assert (below.tolist(), at_most.tolist()) == oracles.ecdf_counts_oracle(block)
+
+
+@st.composite
+def copod_blocks(draw):
+    """An (n, d) matrix of one kind: distinct values in every column, one
+    tie, every value equal, 0.0 and -0.0 in one column, or constant columns,
+    at a scale that leaves the skew signs scale-free."""
+    kind = draw(st.sampled_from(["tie_free", "one_tie", "all_tied", "signed_zero", "constant"]))
+    n = draw(st.integers(2, 12))
+    d = draw(st.integers(1, 5))
+    # 0.0 == -0.0, so unique columns hold at most one zero
+    m = np.array([draw(st.lists(entries, min_size=n, max_size=n, unique=True))
+                  for _ in range(d)]).T
+    if kind == "one_tie":
+        i, j = draw(st.permutations(range(n)))[:2]
+        col = draw(st.integers(0, d - 1))
+        m[j, col] = m[i, col]
+    elif kind == "all_tied":
+        m[:] = m[0, 0]
+    elif kind == "signed_zero":
+        i, j = draw(st.permutations(range(n)))[:2]
+        m[i, 0], m[j, 0] = 0.0, -0.0
+    elif kind == "constant":
+        for j in draw(st.sets(st.integers(0, d - 1), min_size=1)):
+            m[:, j] = m[0, j]
+    return m * draw(st.sampled_from([1e-200, 1e-6, 1.0, 1e6, 1e200]))
+
+
+@PROPERTY
+@given(copod_blocks())
+@example(np.array([[1.0, 0.0], [-0.0, 0.0], [0.0, 0.0]]))
+def test_copod_scores_equal_the_input_order_reference_bitwise(m):
+    assert copod_scores(m).tobytes() == oracles.copod_scores_reference(m).tobytes()
 
 
 @PROPERTY
@@ -152,6 +192,13 @@ def test_pairwise_distances_match_per_pair_oracle(m):
                 assert cosine[i, j] == cos  # zero-norm row or equal rows: exact
             else:
                 assert abs(cosine[i, j] - cos) <= 1e-12
+
+
+@PROPERTY
+@given(distance_matrices())
+def test_copod_scores_of_distances_equal_the_input_order_reference_bitwise(m):
+    for dist in pairwise_distances(m):
+        assert copod_scores(dist).tobytes() == oracles.copod_scores_reference(dist).tobytes()
 
 
 # Dyadic entries keep every squared distance and score exact in both the
