@@ -121,20 +121,18 @@ def _neg_log_table(n: int) -> np.ndarray:
 
 
 def _skewness_signs(block: np.ndarray) -> np.ndarray:
-    """Skewness sign of each row of a (d, n) block as -1, 0 or +1, reduced
-    along the rows.
+    """Skewness sign (-1, 0 or +1) of each row of a (d, n) block, reduced along the rows.
 
     Constant rows map to 0.  Each row's deviations are divided by their
     largest magnitude, which keeps the powers from under- or overflowing.
-    The deviations and their squares are the only (d, n) temporaries; the
-    cubes overwrite the deviations.
     """
     constant = block.min(axis=1) == block.max(axis=1)
     dev = block - block.mean(axis=1, keepdims=True)
     dev[constant] = 0.0  # the mean of equal values can be off by rounding
     dev /= np.where(constant, 1.0, np.maximum(dev.max(axis=1), -dev.min(axis=1)))[:, None]
     sq = dev * dev
-    # sq * dev, not dev**3: numpy's pow is ~50x slower on negative bases
+    # sq * dev, not dev**3: numpy's pow is ~50x slower on negative bases;
+    # the cubes overwrite dev, so sq is the one other (d, n) temporary
     cube = np.multiply(sq, dev, out=dev)
     with np.errstate(invalid="ignore"):  # 0 / 0 on constant rows
         g1 = np.mean(cube, axis=1) / np.mean(sq, axis=1) ** 1.5

@@ -538,14 +538,13 @@ def test_attack_states_are_derived_only_for_clients_that_draw(monkeypatch):
 
     monkeypatch.setattr(harness, "_stream_states", recording)
     attack = harness._purpose_tag("attack")
-    for plan, drawing in ((AttackPlan(), []),
-                          (AttackPlan(assignments={2: LabelFlip(), 3: LabelFlip()}), []),
-                          (AttackPlan(assignments={1: Scale(-2.0), 2: GaussianNoise(1.0),
-                                                   3: Crafted()}), [2, 3])):
+    for plan, expected in ((AttackPlan(), []),
+                           (AttackPlan(assignments={2: LabelFlip(), 3: LabelFlip()}), []),
+                           (AttackPlan(assignments={1: Scale(-2.0), 2: GaussianNoise(1.0),
+                                                    3: Crafted()}), [[2, 3]])):
         derived.clear()
-        run_experiment(small_setup(plan=plan))
-        assert [clients for tag, clients in derived if tag == attack] == (
-            [drawing] if drawing else [])
+        run_experiment(small_setup(plan=plan))  # 3 rounds: one block
+        assert [clients for tag, clients in derived if tag == attack] == expected
 
 
 def test_stream_keys_beyond_32_bits_are_refused():
