@@ -1,8 +1,9 @@
 """Byzantine behavior injectors.
 
 :func:`apply_attack_plan` takes a round's honest local-training matrix, row i
-from client i, and returns the transmitted (n, d) update matrix.  Each
-attacked client's row is a transformation of (or a replacement for) its
+from client i, and turns it into the transmitted (n, d) update matrix in
+place: the harness owns the round's one matrix, and each attacked client's
+row is overwritten with a transformation of (or a replacement for) its
 honest row.  Label flipping is the one exception: it poisons the client's
 training data before any round runs, so those rows pass through untouched.
 """
@@ -181,30 +182,33 @@ def attack_crafted(global_prev: np.ndarray, honest: np.ndarray, kind: Crafted,
     return [crafted + 0.01 * lam * rng.standard_normal(crafted.size) for rng in rngs]
 
 
-def apply_attack_plan(plan: AttackPlan, honest: np.ndarray, global_prev: np.ndarray,
+def apply_attack_plan(plan: AttackPlan, mat: np.ndarray, global_prev: np.ndarray,
                       rng_for: Callable[[int], np.random.Generator]) -> np.ndarray:
     """Turn the round's honest training matrix into its transmitted update matrix.
 
-    Honest and label-flip rows pass through bitwise unchanged (the flip
-    already poisoned their data).  Crafted clients sharing the same parameters
-    collude as one group that reads its members' honest rows.  Client i's
-    attack draws from ``rng_for(i)``.  ``honest`` is not modified.
+    The call takes ownership of a float64 ``mat``: each attacked row is
+    overwritten in place, and the checked matrix returned is ``mat`` itself
+    (any other dtype is converted to a float64 copy first).  Honest and
+    label-flip rows keep their bits (the flip already poisoned their data).
+    Crafted clients sharing the same parameters collude as one group that
+    reads its members' honest rows before any of them is overwritten.
+    Client i's attack draws from ``rng_for(i)``.
     """
-    rows = list(honest)
+    mat = np.asarray(mat, dtype=np.float64)
     crafted_groups: dict[Crafted, list[int]] = {}
     for cid, kind in sorted(plan.assignments.items()):
         if isinstance(kind, GaussianNoise):
-            rows[cid] = attack_gaussian_noise(honest[cid], kind, rng_for(cid))
+            mat[cid] = attack_gaussian_noise(mat[cid], kind, rng_for(cid))
         elif isinstance(kind, Scale):
-            rows[cid] = attack_scale(honest[cid], kind)
+            mat[cid] = attack_scale(mat[cid], kind)
         elif isinstance(kind, Crafted):
             crafted_groups.setdefault(kind, []).append(cid)
 
     for kind, members in crafted_groups.items():
         oracle = local_krum_oracle if len(members) >= 2 else None
-        vectors = attack_crafted(global_prev, honest[members], kind, oracle,
+        vectors = attack_crafted(global_prev, mat[members], kind, oracle,
                                  [rng_for(cid) for cid in members])
         for cid, vec in zip(members, vectors):
-            rows[cid] = vec
+            mat[cid] = vec
 
-    return stack_updates(rows)
+    return stack_updates(mat)

@@ -123,10 +123,17 @@ def _neg_log_table(n: int) -> np.ndarray:
 def _skewness_signs(block: np.ndarray) -> np.ndarray:
     """Skewness sign (-1, 0 or +1) of each row of a (d, n) block, reduced along the rows.
 
-    Constant rows map to 0.  Each row's deviations are divided by their
-    largest magnitude, which keeps the powers from under- or overflowing.
+    Constant rows map to 0.  A row whose sum or deviations could overflow is
+    first divided by its largest magnitude, and each row's deviations are
+    divided by theirs, which keeps the powers from under- or overflowing.
     """
-    constant = block.min(axis=1) == block.max(axis=1)
+    low, high = block.min(axis=1), block.max(axis=1)
+    constant = low == high
+    span = np.maximum(high, -low)
+    big = span > np.finfo(np.float64).max / block.shape[1]
+    if big.any():  # a (d, n) copy on this path only
+        block = block.copy()
+        block[big] /= span[big, None]
     dev = block - block.mean(axis=1, keepdims=True)
     dev[constant] = 0.0  # the mean of equal values can be off by rounding
     dev /= np.where(constant, 1.0, np.maximum(dev.max(axis=1), -dev.min(axis=1)))[:, None]

@@ -13,7 +13,11 @@ Local SGD is one batched call per round: the clients' parameters are rows of
 an (n, P) matrix, and the clients whose current batch has the same size take
 their step together, with bitwise the arithmetic of a per-client loop.  The
 step's gradients land in one (n, P) buffer allocated per call and reused by
-every step, so training makes no (n, P) temporary per step.
+every step, so training makes no (n, P) temporary per step.  The harness owns
+the returned matrix for the rest of the round: the attacks overwrite their
+rows in it and the rule reads it, so a round holds one (n, P) update matrix
+from training through aggregation.  It is local to a per-round helper and so
+is freed before the next round's training allocates.
 Evaluation reads every one-vs-rest and pairwise Mann-Whitney U from one
 stable argsort per probability column, exactly, as integer counts.
 """
@@ -28,7 +32,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
 
-from .aggregators import AggregatorSpec, krum_neighbors, run_rule, trim_count
+from .aggregators import AggregationResult, AggregatorSpec, krum_neighbors, run_rule, trim_count
 from .attacks import AttackPlan, apply_attack_plan, attack_label_flip
 from .copod import tie_runs
 from .data import LabeledDataset, make_train_test, partition_iid, partition_label_skew
@@ -370,10 +374,7 @@ def run_experiment(setup: SimulationSetup) -> list[RoundRecord]:
     for t, (train_rng, attack_rng) in enumerate(zip(train_streams, attack_streams,
                                                     strict=True)):
         try:
-            honest = local_train(setup.model, theta, shards, setup.train,
-                                 [train_rng(cid) for cid in range(setup.clients)])
-            updates = apply_attack_plan(setup.plan, honest, theta, attack_rng)
-            result = run_rule(setup.aggregator, updates)
+            result = _aggregate_round(setup, theta, shards, train_rng, attack_rng)
             theta = result.new_global
             metrics = evaluate(setup.model, theta, test)
         except Exception as exc:
@@ -382,3 +383,17 @@ def run_experiment(setup: SimulationSetup) -> list[RoundRecord]:
                                    weights=result.weights, attack_kinds=attack_names,
                                    metrics=metrics, scores=result.scores))
     return records
+
+
+def _aggregate_round(setup: SimulationSetup, theta: np.ndarray, shards: list[LabeledDataset],
+                     train_rng: Callable[[int], np.random.Generator],
+                     attack_rng: Callable[[int], np.random.Generator]) -> AggregationResult:
+    """Train, attack and aggregate one round on one (n, P) matrix.
+
+    The matrix is local to this call, so it is freed when the call returns,
+    before the next round's training allocates its own.
+    """
+    mat = local_train(setup.model, theta, shards, setup.train,
+                      [train_rng(cid) for cid in range(setup.clients)])
+    mat = apply_attack_plan(setup.plan, mat, theta, attack_rng)
+    return run_rule(setup.aggregator, mat)

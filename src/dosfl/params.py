@@ -2,9 +2,12 @@
 
 Between local training and aggregation a round's updates exist only as an
 (n, d) float64 matrix whose row i is client i's transmitted parameter vector.
-:func:`stack_updates` builds that matrix and is the one place it is checked;
-the kernels here and every aggregation rule take it as given.  All functions
-are pure; matrix rows and columns are always ordered by client index.
+The harness owns that one matrix per round: training allocates it, attacks
+overwrite their rows in it, and it is freed before the next round trains.
+:func:`stack_updates` is the one place it is checked, and it returns a
+float64 matrix uncopied; the kernels here and every aggregation rule take it
+as given and return no view of it.  All functions here are pure; matrix rows
+and columns are always ordered by client index.
 """
 
 from __future__ import annotations
@@ -23,6 +26,7 @@ def stack_updates(rows) -> np.ndarray:
 
     Raises unless there is at least one row, every row is 1-D of one non-zero
     length, and every entry is finite; the error names the offending clients.
+    A float64 (n, d) matrix passes through as the same object, uncopied.
     """
     if len(rows) == 0:
         raise ConfigError("no client updates given")
@@ -32,7 +36,7 @@ def stack_updates(rows) -> np.ndarray:
     ragged = [i for i, row in enumerate(rows) if np.shape(row) != shape]
     if ragged:
         raise DimensionError(f"updates of clients {ragged} differ in shape from {shape}")
-    mat = np.stack(rows).astype(np.float64, copy=False)
+    mat = np.asarray(rows, dtype=np.float64)
     bad = np.flatnonzero(~np.isfinite(mat).all(axis=1))
     if bad.size:
         raise NumericError(f"updates of clients {bad.tolist()} contain NaN or Inf")

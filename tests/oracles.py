@@ -5,7 +5,9 @@ The exceptions are the references that the library must match bit for bit.
 The local-training reference runs one client at a time in plain 2-D numpy,
 with its own layer slicing and products and no call into the library.  The
 COPOD reference computes every float in input order, as the sorted-order
-kernel must reproduce it."""
+kernel must reproduce it.  The attack-plan reference builds the transmitted
+matrix out of place from each attack kind's library function, as the
+in-place assembly must reproduce it."""
 
 import math
 
@@ -232,6 +234,31 @@ def _reference_grad(spec, flat, features, labels):
     d_hidden = (delta @ w2) * (pre > 0.0)
     return np.concatenate([(d_hidden.T @ features).ravel(), d_hidden.sum(axis=0),
                            (delta.T @ hidden).ravel(), delta.sum(axis=0)])
+
+
+def reference_apply_attack_plan(plan, honest, global_prev, rng_for):
+    """The transmitted update matrix built out of place: a list of the honest
+    rows, each attacked row replaced by its kind's function of the untouched
+    honest matrix, crafted groups in first-member order, then ``np.stack``."""
+    from dosfl.attacks import (Crafted, GaussianNoise, Scale, attack_crafted,
+                               attack_gaussian_noise, attack_scale, local_krum_oracle)
+
+    rows = list(honest)
+    groups = {}
+    for cid, kind in sorted(plan.assignments.items()):
+        if isinstance(kind, GaussianNoise):
+            rows[cid] = attack_gaussian_noise(honest[cid], kind, rng_for(cid))
+        elif isinstance(kind, Scale):
+            rows[cid] = attack_scale(honest[cid], kind)
+        elif isinstance(kind, Crafted):
+            groups.setdefault(kind, []).append(cid)
+    for kind, members in groups.items():
+        oracle = local_krum_oracle if len(members) >= 2 else None
+        vectors = attack_crafted(global_prev, honest[members], kind, oracle,
+                                 [rng_for(cid) for cid in members])
+        for cid, vec in zip(members, vectors):
+            rows[cid] = vec
+    return np.stack(rows)
 
 
 def reference_seed_stream(seed, tag, client, round_index):

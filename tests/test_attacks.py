@@ -16,9 +16,9 @@ from dosfl.attacks import (
     local_krum_oracle,
 )
 from dosfl.data import LabeledDataset
-from dosfl.errors import ConfigError
+from dosfl.errors import ConfigError, NumericError
 
-from .oracles import krum_select_oracle
+from .oracles import krum_select_oracle, reference_apply_attack_plan
 
 
 def rng_of(seed):
@@ -174,14 +174,20 @@ def test_crafted_requires_matching_rngs():
         attack_crafted(np.zeros(2), np.ones((1, 2)), Crafted(1.0, 2), None, [])
 
 
+def plan_rngs(seed):
+    return lambda cid: np.random.default_rng((seed, cid))
+
+
 def apply_plan(plan, honest, seed=0):
-    """apply_attack_plan from a zero global model, checking that it neither
-    modifies nor aliases ``honest``."""
-    before = honest.copy()
-    out = apply_attack_plan(plan, honest, np.zeros(honest.shape[1]),
-                            lambda cid: np.random.default_rng((seed, cid)))
-    np.testing.assert_array_equal(honest, before)
-    assert not np.shares_memory(out, honest)
+    """apply_attack_plan on a copy of ``honest`` from a zero global model,
+    checking that it returns the matrix it was given and that every
+    unattacked row, label-flip rows included, keeps its bits."""
+    mat = honest.copy()
+    out = apply_attack_plan(plan, mat, np.zeros(honest.shape[1]), plan_rngs(seed))
+    assert out is mat
+    kept = [i for i in range(len(honest))
+            if isinstance(plan.assignments.get(i, LabelFlip()), LabelFlip)]
+    assert out[kept].tobytes() == honest[kept].tobytes()
     return out
 
 
@@ -224,6 +230,32 @@ def test_apply_plan_deterministic():
     plan = AttackPlan(assignments={5: GaussianNoise(2.0), 4: Crafted(1.0, 3)})
     np.testing.assert_array_equal(apply_plan(plan, honest, seed=3),
                                   apply_plan(plan, honest, seed=3))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_apply_plan_in_place_equals_the_out_of_place_reference_bytewise(seed):
+    # The golden digests hash rank statistics only, so a rounding change in
+    # the in-place assembly would not move them; this compares the bytes.
+    rng = np.random.default_rng(seed)
+    honest = 1.0 + 0.1 * rng.standard_normal((12, 7))
+    prev = 0.1 * rng.standard_normal(7)
+    plan = AttackPlan(assignments={
+        0: GaussianNoise(3.0), 5: GaussianNoise(0.5), 1: Scale(-0.7), 8: Scale(1e10),
+        2: LabelFlip(), 3: Crafted(2.0, 4), 6: Crafted(2.0, 4), 9: Crafted(2.0, 4),
+        4: Crafted(0.5, 6), 10: Crafted(0.5, 6)})
+    expected = reference_apply_attack_plan(plan, honest, prev, plan_rngs(seed))
+    mat = honest.copy()
+    out = apply_attack_plan(plan, mat, prev, plan_rngs(seed))
+    assert out is mat
+    assert out.tobytes() == expected.tobytes()
+
+
+def test_apply_plan_names_a_row_that_scaling_overflows():
+    honest = np.full((4, 3), 2.0)
+    with np.errstate(over="ignore"):
+        with pytest.raises(NumericError, match=r"clients \[2\]"):
+            apply_attack_plan(AttackPlan(assignments={2: Scale(1e308)}), honest,
+                              np.zeros(3), plan_rngs(0))
 
 
 def test_kind_validation():

@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -65,6 +66,19 @@ def test_copod_skewed_column_is_scale_free():
     np.testing.assert_allclose(copod_scores(skewed), expected, rtol=0, atol=1e-15)
     for scale in (1e-6, 1e-200, 1e200):
         np.testing.assert_array_equal(copod_scores(scale * skewed), copod_scores(skewed))
+
+
+def test_copod_skew_sign_survives_an_overflowing_column_sum():
+    # The column's sum overflows; dividing it by its largest magnitude before
+    # the mean keeps the right skew that the column shows at 1e-10 its size.
+    column = np.array([[1.7e308], [1.6e308], [1.0], [0.0], [2.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        huge, small = copod_scores(column), copod_scores(column / 1e10)
+        mixed = np.array([[-1.7e308], [1.7e308], [1.0], [0.0], [2.0]])
+        np.testing.assert_array_equal(copod_scores(mixed), copod_scores(mixed / 1e10))
+    np.testing.assert_array_equal(huge, small)
+    np.testing.assert_allclose(small, copod_scores_oracle(column / 1e10))
 
 
 def test_copod_monotone_transform_invariance():

@@ -1,10 +1,11 @@
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
 
 from dosfl import harness
-from dosfl.aggregators import AggregatorSpec
+from dosfl.aggregators import AGGREGATOR_KINDS, AggregatorSpec
 from dosfl.attacks import AttackPlan, Crafted, GaussianNoise, LabelFlip, Scale
 from dosfl.data import (
     LabeledDataset,
@@ -526,6 +527,30 @@ def test_run_experiment_hands_out_seed_sequence_streams(monkeypatch):
     for purpose, cid, t, state in handed:
         ref = reference_seed_stream(setup.seed, harness._purpose_tag(purpose), cid, t)
         assert state == ref.bit_generator.state, (purpose, cid, t)
+
+
+@pytest.mark.parametrize("kind", AGGREGATOR_KINDS)
+def test_round_matrices_are_freed_before_the_next_round_trains(monkeypatch, kind):
+    # A round holds one (n, P) matrix; a rule that returned a view of it would
+    # keep it alive through the next global model.
+    matrices = []  # a weak reference to the memory of each returned matrix
+    alive = []  # matrices still reachable when each local_train call starts
+    train = harness.local_train
+
+    def recording_train(*args):
+        alive.append(sum(ref() is not None for ref in matrices))
+        mat = train(*args)
+        # a view's base is the array that owns its memory, which every
+        # further view keeps alive (np.tile itself returns a view)
+        matrices.append(weakref.ref(mat if mat.base is None else mat.base))
+        return mat
+
+    monkeypatch.setattr(harness, "local_train", recording_train)
+    plan = AttackPlan(assignments={1: GaussianNoise(1.0), 2: Scale(-0.5), 4: Crafted(),
+                                   5: Crafted()})
+    run_experiment(small_setup(clients=6, plan=plan,
+                               aggregator=AggregatorSpec(kind=kind, krum_f=1)))
+    assert alive == [0, 0, 0]
 
 
 def test_attack_states_are_derived_only_for_clients_that_draw(monkeypatch):

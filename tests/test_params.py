@@ -36,6 +36,14 @@ def test_stack_updates_rejects_bad_rows():
         stack_updates([])
 
 
+def test_stack_updates_takes_a_float64_matrix_uncopied():
+    mat = np.arange(12.0).reshape(4, 3)
+    assert stack_updates(mat) is mat
+    rows = [vec(1, 2), vec(3, 4)]
+    np.testing.assert_array_equal(stack_updates(rows), np.stack(rows))
+    assert stack_updates(np.arange(4).reshape(2, 2)).dtype == np.float64
+
+
 def euclidean_of(a, b):
     return pairwise_distances(np.array([a, b], dtype=float))[0][0, 1]
 
