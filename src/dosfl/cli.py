@@ -23,7 +23,6 @@ from pathlib import Path
 import numpy as np
 
 from .aggregators import AGGREGATOR_KINDS
-from .attacks import GaussianNoise
 from .config import ExperimentConfig, _finite_float, expand_groups, parse_config_file
 from .copod import copod_scores
 from .errors import ConfigError, DosflError
@@ -104,7 +103,7 @@ def cmd_run(args) -> int:
     out = Path(cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     started = time.perf_counter()
-    records = run_experiment(cfg.to_setup())
+    records = run_experiment(cfg)
     runtime = time.perf_counter() - started
 
     write_metrics_csv(records, out / "metrics.csv")
@@ -120,9 +119,11 @@ def cmd_compare(args) -> int:
     names = _split_list(args.aggregators, "--aggregators")
     scenarios = ([cfg.attack] if args.scenarios is None
                  else _split_list(args.scenarios, "--scenarios"))
-    # every run's setup is built, and so validated, before any run starts
+    # every run's config is built, and so validated, before any run starts;
+    # a named scenario drops the config's attack.client.* entries
     runs = [(name, scenario, replace(cfg, aggregator=replace(cfg.aggregator, kind=name),
-                                     attack=scenario).to_setup())
+                                     attack=scenario,
+                                     custom_plan=cfg.custom_plan if scenario == "custom" else ()))
             for name in names for scenario in scenarios]
     _write_grid(Path(cfg.output_dir) / "compare.csv", ("aggregator", "scenario"), runs)
     return 0
@@ -131,11 +132,11 @@ def cmd_compare(args) -> int:
 def cmd_sweep(args) -> int:
     cfg = _load_config(args)
     if args.param == "malicious_fraction":
-        runs = [(args.param, _fmt(frac),
-                 cfg.to_setup(plan=expand_groups([(GaussianNoise(), frac)], cfg.clients)))
+        runs = [(args.param, _fmt(frac), replace(cfg, attack="custom", custom_plan=tuple(
+                    sorted(expand_groups([("noise", frac)], cfg.clients).items()))))
                 for frac in _sweep_values(args.values, float, SWEEP_FRACTIONS)]
     else:
-        runs = [(args.param, str(n), replace(cfg, clients=n).to_setup())
+        runs = [(args.param, str(n), replace(cfg, clients=n))
                 for n in _sweep_values(args.values, int, SWEEP_CLIENT_COUNTS)]
     _write_grid(Path(cfg.output_dir) / "sweep.csv", ("sweep_param", "value"), runs)
     return 0
@@ -197,11 +198,11 @@ def build_summary(cfg: ExperimentConfig, records: list[RoundRecord],
 
 
 def _write_grid(path, labels: tuple[str, str], runs) -> None:
-    """Run each (label, label, setup) in turn and write one row of macro AUC
+    """Run each (label, label, config) in turn and write one row of macro AUC
     averaged over the rounds and at the final round for each."""
     rows = []
-    for first, second, setup in runs:
-        records = run_experiment(setup)
+    for first, second, cfg in runs:
+        records = run_experiment(cfg)
         rows.append((first, second, _fmt(_avg_metric(records)), _fmt(_final_metric(records))))
     path.parent.mkdir(parents=True, exist_ok=True)
     _write_csv(path, labels + ("avg_metric", "final_metric"), rows)

@@ -1,24 +1,27 @@
-"""Experiment configuration: flat key = value files, presets, validation.
+"""The run description: ``ExperimentConfig``, its config files and presets.
+
+An ``ExperimentConfig`` is the one frozen description of a run, and it is
+what ``harness.run_experiment`` and ``harness.prepare_shards`` take.  It is
+validated when it is constructed, and it derives its attack plan then, once,
+from ``attack`` and ``custom_plan``; so ``dataclasses.replace`` on one
+validates the result and derives its plan again.
 
 The config language is line oriented: ``section.key = value`` with ``#``
 comments.  Attack scenarios are bundled data fragments in the same kind-spec
-grammar used for custom per-client plans, expanded against the client count
-at validation time.  An ``ExperimentConfig`` is validated when it is
-constructed, so ``dataclasses.replace`` on one validates the result too.
+grammar used for custom per-client plans, expanded against the client count.
 """
 
 from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, field, replace
 from functools import cache, reduce
 from typing import get_args, get_type_hints
 
-from .aggregators import AggregatorSpec
+from .aggregators import AggregatorSpec, krum_neighbors, trim_count
 from .attacks import ATTACK_KINDS, AttackKind, AttackPlan
 from .errors import ConfigError
-from .harness import SimulationSetup, TrainConfig
 from .models import ModelSpec
 
 # Per-scenario groups of (kind spec, fraction of clients), matching the
@@ -93,10 +96,11 @@ def parse_attack_kind(text: str) -> AttackKind | None:
         raise ConfigError(f"bad arguments in {text!r}: {exc}") from exc
 
 
-def expand_groups(groups, n: int) -> AttackPlan:
+def expand_groups(groups, n: int) -> dict[int, object]:
     """Assign round(fraction * n) clients to each (kind, fraction) group in
-    turn, from the highest client id downward."""
-    assignments: dict[int, AttackKind] = {}
+    turn, from the highest client id downward; a kind may be a parsed
+    :data:`AttackKind` or its spec text, and is handed out as given."""
+    assignments: dict[int, object] = {}
     next_id = n - 1
     for kind, fraction in groups:
         if not 0.0 <= fraction < 1.0:
@@ -106,19 +110,21 @@ def expand_groups(groups, n: int) -> AttackPlan:
                 raise ConfigError(f"attack groups need more clients than n={n}")
             assignments[next_id] = kind
             next_id -= 1
-    return AttackPlan(assignments=assignments)
+    return assignments
 
 
-def expand_scenario(name: str, n: int) -> AttackPlan:
-    """Instantiate a preset at client count n; counts are round(fraction * n)."""
-    if name not in SCENARIOS:
-        raise ConfigError(f"unknown attack scenario {name!r}; valid: "
-                          f"{', '.join(sorted(SCENARIOS))}, custom")
-    return expand_groups([(parse_attack_kind(spec), frac) for spec, frac in SCENARIOS[name]], n)
+@dataclass(frozen=True)
+class TrainConfig:
+    learning_rate: float = 0.01
+    local_steps: int = 1  # epochs over the client's shard per round
+    batch_size: int = 12
+    rounds: int = 100
 
-
-# The fields a run copies from its config; the attack plan is built from two others.
-_SETUP_FIELDS = tuple(f.name for f in fields(SimulationSetup) if f.name != "plan")
+    def __post_init__(self):
+        if self.learning_rate < 0:
+            raise ConfigError(f"learning_rate must be >= 0, got {self.learning_rate}")
+        if self.local_steps < 1 or self.batch_size < 1 or self.rounds < 0:
+            raise ConfigError("need local_steps >= 1, batch_size >= 1, rounds >= 0")
 
 
 @dataclass(frozen=True)
@@ -126,7 +132,9 @@ class ExperimentConfig:
     """Full declarative description of one run (defaults match the desk-scale
     benchmark: 10 clients, 4-class synthetic data, logistic model, 100 rounds).
 
-    Construction raises ``ConfigError`` for a config that describes no valid run.
+    Construction raises ``ConfigError`` for a config that describes no valid
+    run, and derives ``plan``, the attack plan that ``attack`` and
+    ``custom_plan`` describe.
     """
 
     seed: int = 0
@@ -135,32 +143,50 @@ class ExperimentConfig:
     samples_per_class: int = 200
     test_per_class: int = 50
     class_separation: float = 6.0
-    partition: str = "iid"
+    partition: str = "iid"  # "iid" or "label_skew"
     skew_alpha: float = 0.5
     train: TrainConfig = TrainConfig()
     aggregator: AggregatorSpec = AggregatorSpec()
     attack: str = "no_attack"
     custom_plan: tuple[tuple[int, str], ...] = ()
     output_dir: str = "out"
+    plan: AttackPlan = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        if self.custom_plan and self.attack != "custom":
-            raise ConfigError("attack.client.* entries require attack = custom")
-        self.to_setup()  # SimulationSetup owns the cross-field checks
-
-    def build_plan(self) -> AttackPlan:
         if self.attack == "custom":
-            assignments: dict[int, AttackKind] = {}
-            for cid, spec_text in self.custom_plan:
-                kind = parse_attack_kind(spec_text)
-                if kind is not None:
-                    assignments[cid] = kind
-            return AttackPlan(assignments=assignments)
-        return expand_scenario(self.attack, self.clients)
+            kinds = {cid: kind for cid, spec_text in self.custom_plan
+                     if (kind := parse_attack_kind(spec_text)) is not None}
+        elif self.custom_plan:
+            raise ConfigError("attack.client.* entries require attack = custom")
+        elif self.attack in SCENARIOS:
+            # each group's spec is parsed once, however many clients it covers
+            kinds = expand_groups([(parse_attack_kind(spec), frac)
+                                   for spec, frac in SCENARIOS[self.attack]], self.clients)
+        else:
+            raise ConfigError(f"unknown attack scenario {self.attack!r}; valid: "
+                              f"{', '.join(sorted(SCENARIOS))}, custom")
+        plan = AttackPlan(assignments=kinds)
+        object.__setattr__(self, "plan", plan)
+        if self.clients < 2:
+            raise ConfigError(f"need at least 2 clients, got {self.clients}")
+        if not 0 <= self.seed < 2 ** 64:
+            raise ConfigError("seed must be a 64-bit unsigned integer")
+        if self.partition not in ("iid", "label_skew"):
+            raise ConfigError(f"unknown partition {self.partition!r}")
+        if self.samples_per_class < 1 or self.test_per_class < 1:
+            raise ConfigError("need samples_per_class >= 1 and test_per_class >= 1")
+        bad = [i for i in plan.assignments if not 0 <= i < self.clients]
+        if bad:
+            raise ConfigError(f"attack plan names unknown clients: {bad}")
+        if len(plan.assignments) >= self.clients:
+            raise ConfigError("attack plan must leave at least one honest client")
+        if self.aggregator.kind == "krum":
+            krum_neighbors(self.clients, self.aggregator.resolve_krum_f(self.clients))
+        if self.aggregator.kind == "trimmed_mean":
+            trim_count(self.aggregator.trim_fraction, self.clients)
 
-    def to_setup(self, plan: AttackPlan | None = None) -> SimulationSetup:
-        return SimulationSetup(plan=self.build_plan() if plan is None else plan,
-                               **{name: getattr(self, name) for name in _SETUP_FIELDS})
+    def to_setup(self):  # perfbench/ still calls this: a config is its own run setup
+        return self
 
     def flat_dict(self) -> dict[str, str]:
         """Effective configuration after defaults, as config-file keys; ``str``

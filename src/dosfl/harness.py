@@ -1,13 +1,14 @@
 """Deterministic federated simulation loop and evaluation metrics.
 
-One experiment: generate synthetic data, partition it across clients, poison
-the shards named by the attack plan, then run T rounds of broadcast, local
-SGD, attack injection, aggregation, and test-set evaluation.  Every random
-draw comes from a stream keyed by (master seed, purpose, client, round), so
-client i's honest training never depends on what other clients do.  The
-streams come from a vectorised ``SeedSequence`` table over blocks of rounds,
-bitwise equal to ``default_rng(SeedSequence([seed, tag, client, round]))``,
-with the oracle in ``tests/oracles.py``.
+One experiment runs one :class:`config.ExperimentConfig`, the frozen run
+description, as given: generate synthetic data, partition it across clients,
+poison the shards named by the config's attack plan, then run T rounds of
+broadcast, local SGD, attack injection, aggregation, and test-set evaluation.
+Every random draw comes from a stream keyed by (master seed, purpose, client,
+round), so client i's honest training never depends on what other clients do.
+The streams come from a vectorised ``SeedSequence`` table over blocks of
+rounds, bitwise equal to ``default_rng(SeedSequence([seed, tag, client,
+round]))``, with the oracle in ``tests/oracles.py``.
 
 Local SGD is one batched call per round: the clients' parameters are rows of
 an (n, P) matrix, and the clients whose current batch has the same size take
@@ -27,31 +28,18 @@ from __future__ import annotations
 import functools
 import hashlib
 from collections.abc import Callable, Iterator, Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
 
-from .aggregators import AggregationResult, AggregatorSpec, krum_neighbors, run_rule, trim_count
-from .attacks import AttackPlan, apply_attack_plan, attack_label_flip
+from .aggregators import AggregationResult, run_rule
+from .attacks import apply_attack_plan, attack_label_flip
+from .config import ExperimentConfig, TrainConfig
 from .copod import tie_runs
 from .data import LabeledDataset, make_train_test, partition_iid, partition_label_skew
 from .errors import ConfigError, ExperimentError
 from .models import ModelSpec, init_params, loss_and_grad, predict_proba
-
-
-@dataclass(frozen=True)
-class TrainConfig:
-    learning_rate: float = 0.01
-    local_steps: int = 1  # epochs over the client's shard per round
-    batch_size: int = 12
-    rounds: int = 100
-
-    def __post_init__(self):
-        if self.learning_rate < 0:
-            raise ConfigError(f"learning_rate must be >= 0, got {self.learning_rate}")
-        if self.local_steps < 1 or self.batch_size < 1 or self.rounds < 0:
-            raise ConfigError("need local_steps >= 1, batch_size >= 1, rounds >= 0")
 
 
 @dataclass(frozen=True)
@@ -184,7 +172,7 @@ def _generator(state: np.ndarray) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(_SeedState(state)))
 
 
-def _round_streams(setup: SimulationSetup, purpose: str,
+def _round_streams(cfg: ExperimentConfig, purpose: str,
                    clients: Sequence[int]) -> Iterator[Callable[[int], np.random.Generator]]:
     """For each round in turn, the map from a client id to its ``purpose`` stream.
 
@@ -194,9 +182,9 @@ def _round_streams(setup: SimulationSetup, purpose: str,
     """
     row = {cid: i for i, cid in enumerate(clients)}
     tag = _purpose_tag(purpose)
-    for start in range(0, setup.train.rounds, _BLOCK_ROUNDS):
-        block = range(start, min(start + _BLOCK_ROUNDS, setup.train.rounds))
-        states = _stream_states(setup.seed, tag, clients, block) if clients else None
+    for start in range(0, cfg.train.rounds, _BLOCK_ROUNDS):
+        block = range(start, min(start + _BLOCK_ROUNDS, cfg.train.rounds))
+        states = _stream_states(cfg.seed, tag, clients, block) if clients else None
         for j in range(len(block)):
             yield lambda cid, j=j: _generator(states[row[cid], j])
 
@@ -309,83 +297,50 @@ def _twice_pair_u(proba: np.ndarray, labels: np.ndarray,
     return twice_u, cum[n] - cum[finite, column]
 
 
-@dataclass(frozen=True)
-class SimulationSetup:
-    """Everything run_experiment needs, already validated."""
-
-    seed: int
-    clients: int
-    model: ModelSpec
-    train: TrainConfig
-    aggregator: AggregatorSpec
-    samples_per_class: int
-    test_per_class: int
-    class_separation: float
-    partition: str  # "iid" or "label_skew"
-    skew_alpha: float
-    plan: AttackPlan = field(default_factory=AttackPlan)
-
-    def __post_init__(self):
-        if self.clients < 2:
-            raise ConfigError(f"need at least 2 clients, got {self.clients}")
-        if not 0 <= self.seed < 2 ** 64:
-            raise ConfigError("seed must be a 64-bit unsigned integer")
-        if self.partition not in ("iid", "label_skew"):
-            raise ConfigError(f"unknown partition {self.partition!r}")
-        if self.samples_per_class < 1 or self.test_per_class < 1:
-            raise ConfigError("need samples_per_class >= 1 and test_per_class >= 1")
-        bad = [i for i in self.plan.assignments if not 0 <= i < self.clients]
-        if bad:
-            raise ConfigError(f"attack plan names unknown clients: {bad}")
-        if len(self.plan.assignments) >= self.clients:
-            raise ConfigError("attack plan must leave at least one honest client")
-        if self.aggregator.kind == "krum":
-            krum_neighbors(self.clients, self.aggregator.resolve_krum_f(self.clients))
-        if self.aggregator.kind == "trimmed_mean":
-            trim_count(self.aggregator.trim_fraction, self.clients)
+SimulationSetup = ExperimentConfig  # perfbench/ still imports this name
 
 
-def prepare_shards(setup: SimulationSetup) -> tuple[list[LabeledDataset], LabeledDataset]:
+def prepare_shards(cfg: ExperimentConfig) -> tuple[list[LabeledDataset], LabeledDataset]:
     """Generate data, split train/test, partition, and poison label-flip shards."""
-    rng_data = seed_stream(setup.seed, "data")
-    train, test = make_train_test(setup.model.class_count, setup.model.input_dim,
-                                  setup.samples_per_class, setup.test_per_class,
-                                  setup.class_separation, rng_data)
-    rng_part = seed_stream(setup.seed, "partition")
-    if setup.partition == "iid":
-        shards = partition_iid(train, setup.clients, rng_part)
+    rng_data = seed_stream(cfg.seed, "data")
+    train, test = make_train_test(cfg.model.class_count, cfg.model.input_dim,
+                                  cfg.samples_per_class, cfg.test_per_class,
+                                  cfg.class_separation, rng_data)
+    rng_part = seed_stream(cfg.seed, "partition")
+    if cfg.partition == "iid":
+        shards = partition_iid(train, cfg.clients, rng_part)
     else:
-        shards = partition_label_skew(train, setup.clients, setup.skew_alpha, rng_part)
-    for cid, flip in setup.plan.label_flip_items():
-        shards[cid] = attack_label_flip(shards[cid], flip, seed_stream(setup.seed, "labelflip", cid))
+        shards = partition_label_skew(train, cfg.clients, cfg.skew_alpha, rng_part)
+    for cid, flip in cfg.plan.label_flip_items():
+        shards[cid] = attack_label_flip(shards[cid], flip, seed_stream(cfg.seed, "labelflip", cid))
     return shards, test
 
 
-def run_experiment(setup: SimulationSetup) -> list[RoundRecord]:
+def run_experiment(cfg: ExperimentConfig) -> list[RoundRecord]:
     """Algorithm loop: broadcast, local training, attack injection, aggregate,
     evaluate.  Fully deterministic under the master seed."""
-    shards, test = prepare_shards(setup)
-    theta = init_params(setup.model, seed_stream(setup.seed, "init"))
-    attack_names = tuple(setup.plan.kind_name_for(i) for i in range(setup.clients))
+    shards, test = prepare_shards(cfg)
+    theta = init_params(cfg.model, seed_stream(cfg.seed, "init"))
+    attack_names = tuple(cfg.plan.kind_name_for(i) for i in range(cfg.clients))
 
-    train_streams = _round_streams(setup, "train", range(setup.clients))
-    attack_streams = _round_streams(setup, "attack", setup.plan.stream_ids())
+    train_streams = _round_streams(cfg, "train", range(cfg.clients))
+    attack_streams = _round_streams(cfg, "attack", cfg.plan.stream_ids())
     records: list[RoundRecord] = []
     for t, (train_rng, attack_rng) in enumerate(zip(train_streams, attack_streams,
                                                     strict=True)):
         try:
-            result = _aggregate_round(setup, theta, shards, train_rng, attack_rng)
+            result = _aggregate_round(cfg, theta, shards, train_rng, attack_rng)
             theta = result.new_global
-            metrics = evaluate(setup.model, theta, test)
+            metrics = evaluate(cfg.model, theta, test)
         except Exception as exc:
             raise ExperimentError(f"round {t} failed: {exc}") from exc
-        records.append(RoundRecord(round=t, aggregator=setup.aggregator.kind,
+        records.append(RoundRecord(round=t, aggregator=cfg.aggregator.kind,
                                    weights=result.weights, attack_kinds=attack_names,
                                    metrics=metrics, scores=result.scores))
     return records
 
 
-def _aggregate_round(setup: SimulationSetup, theta: np.ndarray, shards: list[LabeledDataset],
+def _aggregate_round(cfg: ExperimentConfig, theta: np.ndarray, shards: list[LabeledDataset],
                      train_rng: Callable[[int], np.random.Generator],
                      attack_rng: Callable[[int], np.random.Generator]) -> AggregationResult:
     """Train, attack and aggregate one round on one (n, P) matrix.
@@ -393,7 +348,7 @@ def _aggregate_round(setup: SimulationSetup, theta: np.ndarray, shards: list[Lab
     The matrix is local to this call, so it is freed when the call returns,
     before the next round's training allocates its own.
     """
-    mat = local_train(setup.model, theta, shards, setup.train,
-                      [train_rng(cid) for cid in range(setup.clients)])
-    mat = apply_attack_plan(setup.plan, mat, theta, attack_rng)
-    return run_rule(setup.aggregator, mat)
+    mat = local_train(cfg.model, theta, shards, cfg.train,
+                      [train_rng(cid) for cid in range(cfg.clients)])
+    mat = apply_attack_plan(cfg.plan, mat, theta, attack_rng)
+    return run_rule(cfg.aggregator, mat)

@@ -26,21 +26,32 @@ def stack_updates(rows) -> np.ndarray:
 
     Raises unless there is at least one row, every row is 1-D of one non-zero
     length, and every entry is finite; the error names the offending clients.
-    A float64 (n, d) matrix passes through as the same object, uncopied.
+    A float64 (n, d) matrix passes through as the same object, uncopied.  The
+    rows are walked one by one only when numpy cannot stack them.
     """
     if len(rows) == 0:
         raise ConfigError("no client updates given")
-    shape = np.shape(rows[0])
-    if len(shape) != 1 or shape[0] < 1:
-        raise DimensionError(f"updates must be 1-D and non-empty, got shape {shape}")
-    ragged = [i for i, row in enumerate(rows) if np.shape(row) != shape]
-    if ragged:
-        raise DimensionError(f"updates of clients {ragged} differ in shape from {shape}")
-    mat = np.asarray(rows, dtype=np.float64)
+    try:
+        mat = np.asarray(rows, dtype=np.float64)
+    except ValueError:
+        # name the clients whose rows differ in shape from row 0; if none
+        # does, the error is numpy's own (an entry that is not a number)
+        shape = np.shape(rows[0])
+        _check_row_shape(shape)
+        ragged = [i for i, row in enumerate(rows) if np.shape(row) != shape]
+        if not ragged:
+            raise
+        raise DimensionError(f"updates of clients {ragged} differ in shape from {shape}") from None
+    _check_row_shape(mat.shape[1:])
     bad = np.flatnonzero(~np.isfinite(mat).all(axis=1))
     if bad.size:
         raise NumericError(f"updates of clients {bad.tolist()} contain NaN or Inf")
     return mat
+
+
+def _check_row_shape(shape: tuple[int, ...]) -> None:
+    if len(shape) != 1 or shape[0] < 1:
+        raise DimensionError(f"updates must be 1-D and non-empty, got shape {shape}")
 
 
 def pairwise_distances(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

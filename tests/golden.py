@@ -23,8 +23,8 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 from worker import environment, records_digest  # noqa: E402
 
 from dosfl.aggregators import AggregatorSpec  # noqa: E402
-from dosfl.config import ExperimentConfig  # noqa: E402
-from dosfl.harness import TrainConfig, run_experiment  # noqa: E402
+from dosfl.config import ExperimentConfig, TrainConfig  # noqa: E402
+from dosfl.harness import run_experiment  # noqa: E402
 from dosfl.models import ModelSpec  # noqa: E402
 
 GOLDEN_PATH = Path(__file__).resolve().parent / "golden_digests.json"
@@ -58,7 +58,7 @@ def digests(grid: dict) -> dict[str, str]:
         for seed, records in enumerate(runs):
             out[f"grid/{rule}/{attack}/{seed}"] = records_digest(records)
     for name, cfg in SHORT_RUNS.items():
-        out[f"short/{name}"] = records_digest(run_experiment(cfg.to_setup()))
+        out[f"short/{name}"] = records_digest(run_experiment(cfg))
     return out
 
 

@@ -20,7 +20,6 @@ import pytest
 from dosfl.aggregators import AggregatorSpec, aggregate_dos, aggregate_krum, aggregate_median, \
     aggregate_trimmed_mean
 from dosfl.cli import main
-from dosfl.attacks import GaussianNoise
 from dosfl.config import ExperimentConfig, expand_groups
 from dosfl.copod import copod_scores
 from dosfl.harness import run_experiment
@@ -41,21 +40,31 @@ def report(ok: bool, label: str) -> bool:
     return ok
 
 
-def run_suite(aggregator: str, attack: str, *, plan=None, trim=0.4,
-              partition="iid", skew_alpha=0.5):
+def suite_config(aggregator: str, attack: str, seed: int, *, custom_plan=(), trim=0.4,
+                 partition="iid", skew_alpha=0.5) -> ExperimentConfig:
+    return replace(
+        BASE,
+        seed=seed,
+        partition=partition,
+        skew_alpha=skew_alpha,
+        attack=attack,
+        custom_plan=custom_plan,
+        aggregator=AggregatorSpec(kind=aggregator, trim_fraction=trim),
+    )
+
+
+def run_suite(aggregator: str, attack: str, **kw):
     """One aggregator/attack combination across the reference seeds."""
-    results = []
-    for seed in SEEDS:
-        cfg = replace(
-            BASE,
-            seed=seed,
-            partition=partition,
-            skew_alpha=skew_alpha,
-            attack=attack,
-            aggregator=AggregatorSpec(kind=aggregator, trim_fraction=trim),
-        )
-        results.append(run_experiment(cfg.to_setup(plan=plan)))
-    return results
+    return [run_experiment(suite_config(aggregator, attack, seed, **kw)) for seed in SEEDS]
+
+
+# the breakdown sweep's noise fractions besides 0.4, which is the noise_40 scenario
+NOISE_FRACS = (0.1, 0.2, 0.3, 0.5, 0.6)
+
+
+def noise_frac_plan(frac: float) -> tuple[tuple[int, str], ...]:
+    """``custom_plan`` entries sending noise from round(frac * n) of the reference clients."""
+    return tuple(sorted(expand_groups([("noise", frac)], BASE.clients).items()))
 
 
 def final_acc(records_per_seed):
@@ -78,9 +87,9 @@ def run_grid():
         ("krum", "crafted_40"): run_suite("krum", "crafted_40",
                                           partition="label_skew", skew_alpha=2.0),
     }
-    for frac in (0.1, 0.2, 0.3, 0.5, 0.6):
-        runs[("dos", f"noise_frac_{frac}")] = run_suite(
-            "dos", "no_attack", plan=expand_groups([(GaussianNoise(), frac)], 10))
+    for frac in NOISE_FRACS:
+        runs[("dos", f"noise_frac_{frac}")] = run_suite("dos", "custom",
+                                                       custom_plan=noise_frac_plan(frac))
     runs[("dos", "noise_frac_0.4")] = runs[("dos", "noise_40")]  # same plan
     return runs
 
@@ -143,6 +152,20 @@ def test_breakdown_threshold(grid, fraction):
         ok = acc < 0.75 * base
         label = f"noise fraction {fraction}: dos {acc:.3f} < 0.75 x no-attack {base:.3f}"
     assert report(ok, label)
+
+
+def test_noise_frac_configs_name_their_noise_clients(grid):
+    # each noise_frac run's config, as summary.json would write it, names
+    # exactly the clients that sent noise
+    for frac in NOISE_FRACS:
+        for seed, records in zip(SEEDS, grid[("dos", f"noise_frac_{frac}")], strict=True):
+            flat = suite_config("dos", "custom", seed,
+                                custom_plan=noise_frac_plan(frac)).flat_dict()
+            named = [int(key.rsplit(".", 1)[1]) for key, spec in flat.items()
+                     if key.startswith("attack.client.") and spec == "noise"]
+            assert len(named) == int(frac * 10 + 0.5)
+            for r in records:
+                assert [cid for cid, kind in enumerate(r.attack_kinds) if kind == "noise"] == named
 
 
 def test_crafted_attack_ordering(grid):

@@ -6,17 +6,18 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from dosfl import cli
 from dosfl.attacks import Crafted, GaussianNoise, LabelFlip, Scale
 from dosfl.cli import main
 from dosfl.config import (
     SCENARIOS,
     ExperimentConfig,
     expand_groups,
-    expand_scenario,
     parse_attack_kind,
     parse_config_text,
 )
 from dosfl.errors import ConfigError
+from dosfl.harness import run_experiment
 
 from .oracles import copod_scores_oracle
 
@@ -114,23 +115,30 @@ def test_parse_attack_kinds():
 
 def test_scenario_expansion_counts_at_ten():
     for name, groups in SCENARIOS.items():
-        plan = expand_scenario(name, 10)
+        plan = ExperimentConfig(attack=name).plan
         expected = sum(int(frac * 10 + 0.5) for _, frac in groups)
         assert len(plan.assignments) == expected
-    noise = expand_scenario("noise_40", 10)
+    noise = ExperimentConfig(attack="noise_40").plan
     assert sorted(noise.assignments) == [6, 7, 8, 9]
     assert all(isinstance(k, GaussianNoise) for k in noise.assignments.values())
 
 
 def test_scenario_expansion_scales_with_n():
-    assert len(expand_scenario("noise_40", 5).assignments) == 2
-    assert len(expand_scenario("noise_40", 20).assignments) == 8
-    assert expand_scenario("no_attack", 10).assignments == {}
+    assert len(ExperimentConfig(clients=5, attack="noise_40").plan.assignments) == 2
+    assert len(ExperimentConfig(clients=20, attack="noise_40").plan.assignments) == 8
+    assert ExperimentConfig(attack="no_attack").plan.assignments == {}
+
+
+def test_replace_derives_the_plan_again():
+    # a plan copied from the 10-client config would keep its 4 noise clients
+    cfg = replace(ExperimentConfig(attack="noise_40"), clients=20)
+    assert sorted(cfg.plan.assignments) == list(range(12, 20))
+    assert all(isinstance(k, GaussianNoise) for k in cfg.plan.assignments.values())
 
 
 def test_unknown_scenario_lists_valid_names():
     with pytest.raises(ConfigError, match="noise_40"):
-        expand_scenario("noise_41", 10)
+        ExperimentConfig(attack="noise_41")
 
 
 def test_custom_plan_round_trip():
@@ -138,7 +146,7 @@ def test_custom_plan_round_trip():
         "clients = 4\nattack = custom\n"
         "attack.client.3 = scale(factor=100)\n"
         "attack.client.2 = noise(sigma=2)\n")
-    plan = cfg.build_plan()
+    plan = cfg.plan
     assert plan.assignments[3] == Scale(factor=100.0)
     assert plan.assignments[2] == GaussianNoise(sigma=2.0)
     assert cfg.flat_dict()["attack.client.3"] == "scale(factor=100)"
@@ -161,8 +169,8 @@ def test_invalid_config_raises_at_construction(build):
 
 
 def test_expand_groups_noise_counts():
-    assert len(expand_groups([(GaussianNoise(), 0.6)], 10).assignments) == 6
-    assert sorted(expand_groups([(GaussianNoise(), 0.2)], 10).assignments) == [8, 9]
+    assert len(expand_groups([(GaussianNoise(), 0.6)], 10)) == 6
+    assert expand_groups([("noise", 0.2)], 10) == {9: "noise", 8: "noise"}
 
 
 @pytest.mark.parametrize("line", [
@@ -375,6 +383,46 @@ def test_cmd_compare_unknown_scenario_writes_nothing(tmp_path):
     assert main(["compare", "--config", str(cfg), "--aggregators", "dos",
                  "--scenarios", "no_attack,bogus"]) == 2
     assert not (tmp_path / "out" / "compare.csv").exists()
+
+
+def test_cmd_compare_named_scenarios_drop_custom_entries(tmp_path, monkeypatch):
+    ran = []  # the config of every compare run
+
+    def recording(cfg):
+        ran.append(cfg)
+        return run_experiment(cfg)
+
+    monkeypatch.setattr(cli, "run_experiment", recording)
+    cfg = write_cfg(tmp_path, FAST, "attack = custom\nattack.client.3 = scale(factor=100)\n")
+    assert main(["compare", "--config", str(cfg), "--aggregators", "dos",
+                 "--scenarios", "noise_40,custom"]) == 0
+    rows = (tmp_path / "out" / "compare.csv").read_text().splitlines()
+    assert [r.split(",")[:2] for r in rows[1:]] == [["dos", "noise_40"], ["dos", "custom"]]
+    noise, custom = ran
+    assert noise.custom_plan == () and sorted(noise.plan.assignments) == [2, 3]
+    assert custom.plan.assignments == {3: Scale(factor=100.0)}
+
+
+@pytest.mark.parametrize("param,values", [("malicious_fraction", "0.25,0.5,0.75"),
+                                          ("client_count", "5,6")])
+def test_sweep_configs_name_their_noise_clients(tmp_path, monkeypatch, param, values):
+    ran = []  # (config, records) of every sweep run
+
+    def recording(cfg):
+        ran.append((cfg, run_experiment(cfg)))
+        return ran[-1][1]
+
+    monkeypatch.setattr(cli, "run_experiment", recording)
+    cfg = write_cfg(tmp_path, FAST)
+    assert main(["sweep", "--config", str(cfg), "--param", param, "--values", values]) == 0
+    assert len(ran) == len(values.split(","))
+    for cfg, records in ran:
+        named = [int(key.rsplit(".", 1)[1]) for key, spec in cfg.flat_dict().items()
+                 if key.startswith("attack.client.") and spec == "noise"]
+        for r in records:
+            assert [cid for cid, kind in enumerate(r.attack_kinds) if kind == "noise"] == named
+    if param == "malicious_fraction":
+        assert [len(c.plan.assignments) for c, _ in ran] == [1, 2, 3]
 
 
 @pytest.mark.parametrize("param,value", [("malicious_fraction", "-0.1"),

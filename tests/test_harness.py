@@ -6,7 +6,7 @@ import pytest
 
 from dosfl import harness
 from dosfl.aggregators import AGGREGATOR_KINDS, AggregatorSpec
-from dosfl.attacks import AttackPlan, Crafted, GaussianNoise, LabelFlip, Scale
+from dosfl.config import ExperimentConfig, TrainConfig
 from dosfl.data import (
     LabeledDataset,
     generate_synthetic,
@@ -17,8 +17,6 @@ from dosfl.data import (
 from dosfl.errors import ConfigError, DimensionError, ExperimentError
 from dosfl.harness import (
     Metrics,
-    SimulationSetup,
-    TrainConfig,
     evaluate,
     local_train,
     prepare_shards,
@@ -377,17 +375,19 @@ def test_random_scores_near_half_auc():
 
 
 def small_setup(**kw):
+    """A 4-client, 3-round config; ``custom_plan`` entries make it an ``attack = custom`` run."""
     defaults = dict(seed=5, clients=4, model=ModelSpec(input_dim=6, class_count=3),
                     train=TrainConfig(batch_size=8, rounds=3),
                     aggregator=AggregatorSpec(kind="dos"),
                     samples_per_class=40, test_per_class=20, class_separation=5.0,
-                    partition="iid", skew_alpha=0.5)
+                    partition="iid", skew_alpha=0.5,
+                    attack="custom" if "custom_plan" in kw else "no_attack")
     defaults.update(kw)
-    return SimulationSetup(**defaults)
+    return ExperimentConfig(**defaults)
 
 
 def test_run_experiment_deterministic():
-    setup = small_setup(plan=AttackPlan(assignments={3: GaussianNoise(1.0)}))
+    setup = small_setup(custom_plan=((3, "noise(sigma=1.0)"),))
     a = run_experiment(setup)
     b = run_experiment(setup)
     assert len(a) == len(b) == 3
@@ -402,8 +402,8 @@ def test_run_experiment_zero_rounds():
 
 
 def test_round_record_contents():
-    plan = AttackPlan(assignments={3: Scale(100.0), 2: LabelFlip(source=0, target=1)})
-    recs = run_experiment(small_setup(plan=plan))
+    plan = ((2, "label_flip(source=0,target=1)"), (3, "scale(factor=100.0)"))
+    recs = run_experiment(small_setup(custom_plan=plan))
     for t, rec in enumerate(recs):
         assert rec.round == t
         assert rec.aggregator == "dos"
@@ -423,7 +423,7 @@ def test_seed_isolation_of_honest_training():
     # groups in the full batch and train alone in a group of one.
     base = small_setup(partition="label_skew")
     flipped = small_setup(partition="label_skew",
-                          plan=AttackPlan(assignments={3: LabelFlip(source=2, target=0)}))
+                          custom_plan=((3, "label_flip(source=2,target=0)"),))
     shards_a, _ = prepare_shards(base)
     shards_b, _ = prepare_shards(flipped)
     assert len({len(s) for s in shards_a}) > 1
@@ -443,8 +443,7 @@ def test_seed_isolation_of_honest_training():
 
 
 def test_label_flip_poisons_training_data():
-    plan = AttackPlan(assignments={0: LabelFlip(source=0, target=1, fraction=1.0)})
-    setup = small_setup(plan=plan)
+    setup = small_setup(custom_plan=((0, "label_flip(source=0,target=1,fraction=1.0)"),))
     shards, _ = prepare_shards(setup)
     assert np.sum(shards[0].labels == 0) == 0
     clean, _ = prepare_shards(small_setup())
@@ -456,15 +455,14 @@ def test_label_flip_poisons_training_data():
 def test_failing_round_is_named():
     # a huge scale factor overflows to inf in round 1 when applied to the
     # already-scaled global model
-    plan = AttackPlan(assignments={3: Scale(1e300)})
     with pytest.raises(ExperimentError, match="round"):
-        run_experiment(small_setup(plan=plan))
+        run_experiment(small_setup(custom_plan=((3, "scale(factor=1e300)"),)))
 
 
 def test_overflowing_update_names_its_client():
     # fedavg passes round 0's huge but finite average on; in round 1 client 3's
     # scaled row overflows to inf, and the error says whose row it is
-    setup = small_setup(plan=AttackPlan(assignments={3: Scale(1e300)}),
+    setup = small_setup(custom_plan=((3, "scale(factor=1e300)"),),
                         aggregator=AggregatorSpec(kind="fedavg"))
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(ExperimentError, match=r"round 1 .*clients \[3\]"):
@@ -477,7 +475,7 @@ def test_setup_validation():
     with pytest.raises(ConfigError):
         small_setup(seed=-1)
     with pytest.raises(ConfigError):
-        small_setup(plan=AttackPlan(assignments={9: GaussianNoise(1.0)}))
+        small_setup(custom_plan=((9, "noise(sigma=1.0)"),))
     with pytest.raises(ConfigError):
         small_setup(aggregator=AggregatorSpec(kind="krum", krum_f=3))  # 4 - 3 - 2 < 1
     with pytest.raises(ConfigError):
@@ -497,8 +495,8 @@ def test_seed_stream_independence():
 def test_run_experiment_hands_out_seed_sequence_streams(monkeypatch):
     # The golden digests hash rank statistics only, so they cannot show that
     # the streams are unchanged; this compares every generator at hand-over.
-    setup = small_setup(clients=6, partition="label_skew", plan=AttackPlan(
-        assignments={1: GaussianNoise(1.0), 3: Crafted(), 4: Crafted()}))
+    setup = small_setup(clients=6, partition="label_skew",
+                        custom_plan=((1, "noise(sigma=1.0)"), (3, "crafted"), (4, "crafted")))
     handed = []  # (purpose, client, round, bit generator state)
     rounds = []  # one entry per local_train call
     train, apply_plan = harness.local_train, harness.apply_attack_plan
@@ -546,9 +544,8 @@ def test_round_matrices_are_freed_before_the_next_round_trains(monkeypatch, kind
         return mat
 
     monkeypatch.setattr(harness, "local_train", recording_train)
-    plan = AttackPlan(assignments={1: GaussianNoise(1.0), 2: Scale(-0.5), 4: Crafted(),
-                                   5: Crafted()})
-    run_experiment(small_setup(clients=6, plan=plan,
+    plan = ((1, "noise(sigma=1.0)"), (2, "scale(factor=-0.5)"), (4, "crafted"), (5, "crafted"))
+    run_experiment(small_setup(clients=6, custom_plan=plan,
                                aggregator=AggregatorSpec(kind=kind, krum_f=1)))
     assert alive == [0, 0, 0]
 
@@ -563,12 +560,12 @@ def test_attack_states_are_derived_only_for_clients_that_draw(monkeypatch):
 
     monkeypatch.setattr(harness, "_stream_states", recording)
     attack = harness._purpose_tag("attack")
-    for plan, expected in ((AttackPlan(), []),
-                           (AttackPlan(assignments={2: LabelFlip(), 3: LabelFlip()}), []),
-                           (AttackPlan(assignments={1: Scale(-2.0), 2: GaussianNoise(1.0),
-                                                    3: Crafted()}), [[2, 3]])):
+    for plan, expected in (((), []),
+                           (((2, "label_flip"), (3, "label_flip")), []),
+                           (((1, "scale(factor=-2.0)"), (2, "noise(sigma=1.0)"), (3, "crafted")),
+                            [[2, 3]])):
         derived.clear()
-        run_experiment(small_setup(plan=plan))  # 3 rounds: one block
+        run_experiment(small_setup(custom_plan=plan))  # 3 rounds: one block
         assert [clients for tag, clients in derived if tag == attack] == expected
 
 

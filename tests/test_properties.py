@@ -14,9 +14,10 @@ from scipy.spatial.distance import pdist, squareform
 
 from dosfl.aggregators import aggregate_krum, aggregate_median, krum_select
 from dosfl.attacks import Crafted, attack_crafted, local_krum_oracle
+from dosfl.config import TrainConfig
 from dosfl.copod import _tied_counts, copod_scores, tie_runs
 from dosfl.data import LabeledDataset
-from dosfl.harness import TrainConfig, _generator, _stream_states, local_train
+from dosfl.harness import _generator, _stream_states, local_train
 from dosfl.models import ModelSpec
 from dosfl.params import pairwise_distances
 
