@@ -6,7 +6,9 @@ AggregationResult whose weight vector (when one exists) follows the rows.
 The harness owns that matrix and frees it when the round ends, so a rule
 must not return a view of it: Krum copies its selected row.
 Median and trimmed mean have no faithful per-client attribution, so their
-result carries ``weights=None`` rather than a fabricated vector.
+result carries ``weights=None`` rather than a fabricated vector.  They sort
+the matrix one column block at a time and keep only the rows they average,
+so beside the matrix they hold its kept rows and one sorted block.
 """
 
 from __future__ import annotations
@@ -95,9 +97,29 @@ def aggregate_fedavg(mat: np.ndarray) -> AggregationResult:
     return AggregationResult(new_global=weighted_average(mat, w), weights=w)
 
 
+# Bytes of the update matrix one np.sort call sorts: median and trimmed mean
+# sort column blocks of about this size and keep only their kept rows, so no
+# sorted copy of the whole matrix exists.  At n = 10, d = 105004, blocks of
+# 128 KiB to 1 MiB took the time of one full sort (7.7-8.3 ms); 256 KiB keeps
+# the block small beside the kept rows.
+SORT_BYTES = 1 << 18
+
+
 def _sorted_slice_mean(mat: np.ndarray, k: int) -> np.ndarray:
-    """Per column, the mean left after dropping the k smallest and k largest values."""
-    return np.sort(mat, axis=0)[k : mat.shape[0] - k].mean(axis=0)
+    """Per column, the mean left after dropping the k smallest and k largest values.
+
+    Column blocks of about ``SORT_BYTES`` are sorted one at a time into one
+    C-contiguous (n - 2k, d) array of the kept rows, which is averaged by one
+    ``mean(axis=0)``: bitwise ``np.sort(mat, axis=0)[k:n-k].mean(axis=0)``.
+    A mean per block would not be, since a one-column block's mean takes
+    numpy's pairwise summation.
+    """
+    n, d = mat.shape
+    kept = np.empty((n - 2 * k, d))
+    width = max(1, SORT_BYTES // (n * mat.itemsize))
+    for at in range(0, d, width):
+        kept[:, at:at + width] = np.sort(mat[:, at:at + width], axis=0)[k:n - k]
+    return kept.mean(axis=0)
 
 
 def aggregate_median(mat: np.ndarray) -> AggregationResult:

@@ -4,8 +4,12 @@
 from client i, and turns it into the transmitted (n, d) update matrix in
 place: the harness owns the round's one matrix, and each attacked client's
 row is overwritten with a transformation of (or a replacement for) its
-honest row.  Label flipping is the one exception: it poisons the client's
-training data before any round runs, so those rows pass through untouched.
+honest row.  Noise is drawn straight into its row, which the harness does not
+train.  A crafted group reads its members' rows as a view when their ids are
+consecutive, keeps one (m, d) array of offsets for its local Krum vote, and
+draws each member's jitter straight into its row.  Label flipping is the one
+exception: it poisons the client's training data before any round runs, so
+those rows pass through untouched.
 """
 
 from __future__ import annotations
@@ -95,6 +99,11 @@ class AttackPlan:
     def malicious_ids(self) -> list[int]:
         return sorted(self.assignments)
 
+    def trained_ids(self, clients: int) -> list[int]:
+        """Clients whose transmitted row reads their training result: all but noise."""
+        return [i for i in range(clients)
+                if not isinstance(self.assignments.get(i), GaussianNoise)]
+
     def stream_ids(self) -> list[int]:
         """Clients whose attack draws from their attack stream: noise and crafted."""
         return [i for i, k in sorted(self.assignments.items())
@@ -104,10 +113,14 @@ class AttackPlan:
         return [(i, k) for i, k in sorted(self.assignments.items()) if isinstance(k, LabelFlip)]
 
 
-def attack_gaussian_noise(honest: np.ndarray, kind: GaussianNoise,
+def attack_gaussian_noise(row: np.ndarray, kind: GaussianNoise,
                           rng: np.random.Generator) -> np.ndarray:
-    """Pure-noise replacement: the honest parameters only set the dimension."""
-    return kind.sigma * rng.standard_normal(honest.size)
+    """Pure-noise replacement, drawn into the float64 ``row`` in place and
+    returned: its values are never read.  Bitwise ``sigma * z`` for the
+    draws z, as IEEE products commute."""
+    rng.standard_normal(out=row)
+    row *= kind.sigma
+    return row
 
 
 def attack_scale(honest: np.ndarray, kind: Scale) -> np.ndarray:
@@ -143,7 +156,7 @@ def local_krum_oracle(sq: np.ndarray) -> int:
 
 def attack_crafted(global_prev: np.ndarray, honest: np.ndarray, kind: Crafted,
                    krum_oracle: Callable[[np.ndarray], int] | None,
-                   rngs) -> list[np.ndarray]:
+                   rngs, out: np.ndarray | None = None) -> np.ndarray:
     """Directed-deviation attack shared by all colluding clients.
 
     Estimates the benign direction from the colluders' own honest training
@@ -157,6 +170,12 @@ def attack_crafted(global_prev: np.ndarray, honest: np.ndarray, kind: Crafted,
     clamped at 0, so each candidate costs O(m^2), not O(m^2 d).  Each colluder
     transmits c(lam) plus Normal(0, (0.01*lam)^2) jitter so the copies are not
     exact duplicates.
+
+    Row i of ``out``, an (m, d) float64 array or a sequence of m float64 rows,
+    receives colluder i's vector, drawn in place from ``rngs[i]`` and returned;
+    ``out`` may be ``honest`` itself, which is read before any row is written.
+    Without ``out`` the rows go to a new array.  Beside ``out`` the call holds
+    one (m, d) array, the offsets g - h_j during the vote, and O(d) vectors.
     """
     if len(honest) == 0:
         raise ConfigError("crafted attack needs at least one colluder's honest update")
@@ -164,41 +183,58 @@ def attack_crafted(global_prev: np.ndarray, honest: np.ndarray, kind: Crafted,
         raise ConfigError(f"{len(honest)} colluders but {len(rngs)} rng streams")
     direction = np.sign(np.mean(honest, axis=0) - global_prev)
     candidates = [kind.lambda_init * 2.0 ** -k for k in range(kind.halving_steps + 1)]
-    lam = candidates[-1]
-    if krum_oracle is not None:
-        offsets = global_prev - honest
-        # einsum, not BLAS: small threaded products can stall
-        base = np.einsum("ij,ij->i", offsets, offsets)
-        proj = np.einsum("ij,j->i", offsets, direction)
-        s_sq = float(np.count_nonzero(direction))
-        honest_sq = np.pad(squareform(pdist(honest, "sqeuclidean")), (1, 0))
-        for cand in candidates:
-            sq = honest_sq.copy()
-            sq[0, 1:] = sq[1:, 0] = np.maximum(base - 2.0 * cand * proj + cand * cand * s_sq, 0.0)
-            if krum_oracle(sq) == 0:
-                lam = cand
-                break
+    lam = (candidates[-1] if krum_oracle is None else
+           _crafted_lambda(global_prev, honest, direction, candidates, krum_oracle))
     crafted = global_prev - lam * direction
-    return [crafted + 0.01 * lam * rng.standard_normal(crafted.size) for rng in rngs]
+    if out is None:
+        out = np.empty((len(rngs), crafted.size))
+    for row, rng in zip(out, rngs):
+        # bitwise crafted + (0.01 * lam) * z: IEEE sums and products commute
+        rng.standard_normal(out=row)
+        row *= 0.01 * lam
+        row += crafted
+    return out
+
+
+def _crafted_lambda(global_prev: np.ndarray, honest: np.ndarray, direction: np.ndarray,
+                    candidates: list[float], krum_oracle: Callable[[np.ndarray], int]) -> float:
+    """The first candidate whose crafted point wins the local vote, else the last.
+
+    The offsets g - h_j are one 2-D array, freed on return: a per-row einsum
+    differs from the 2-D one in the last bits at d = 105004.
+    """
+    offsets = global_prev - honest
+    # einsum, not BLAS: small threaded products can stall
+    base = np.einsum("ij,ij->i", offsets, offsets)
+    proj = np.einsum("ij,j->i", offsets, direction)
+    s_sq = float(np.count_nonzero(direction))
+    honest_sq = np.pad(squareform(pdist(honest, "sqeuclidean")), (1, 0))
+    for cand in candidates:
+        sq = honest_sq.copy()
+        sq[0, 1:] = sq[1:, 0] = np.maximum(base - 2.0 * cand * proj + cand * cand * s_sq, 0.0)
+        if krum_oracle(sq) == 0:
+            return cand
+    return candidates[-1]
 
 
 def apply_attack_plan(plan: AttackPlan, mat: np.ndarray, global_prev: np.ndarray,
                       rng_for: Callable[[int], np.random.Generator]) -> np.ndarray:
     """Turn the round's honest training matrix into its transmitted update matrix.
 
-    The call takes ownership of a float64 ``mat``: each attacked row is
-    overwritten in place, and the checked matrix returned is ``mat`` itself
-    (any other dtype is converted to a float64 copy first).  Honest and
-    label-flip rows keep their bits (the flip already poisoned their data).
-    Crafted clients sharing the same parameters collude as one group that
-    reads its members' honest rows before any of them is overwritten.
+    The call takes ownership of a C-contiguous float64 ``mat``: each attacked
+    row is overwritten in place, and the checked matrix returned is ``mat``
+    itself (any other dtype or layout is converted to such a copy first).
+    Honest and label-flip rows keep their bits (the flip already poisoned
+    their data).  Crafted clients sharing the same parameters collude as one
+    group that reads its members' honest rows, as a view when their ids are
+    consecutive and as a copy otherwise, before any of them is overwritten.
     Client i's attack draws from ``rng_for(i)``.
     """
-    mat = np.asarray(mat, dtype=np.float64)
+    mat = np.ascontiguousarray(mat, dtype=np.float64)
     crafted_groups: dict[Crafted, list[int]] = {}
     for cid, kind in sorted(plan.assignments.items()):
         if isinstance(kind, GaussianNoise):
-            mat[cid] = attack_gaussian_noise(mat[cid], kind, rng_for(cid))
+            attack_gaussian_noise(mat[cid], kind, rng_for(cid))
         elif isinstance(kind, Scale):
             mat[cid] = attack_scale(mat[cid], kind)
         elif isinstance(kind, Crafted):
@@ -206,9 +242,12 @@ def apply_attack_plan(plan: AttackPlan, mat: np.ndarray, global_prev: np.ndarray
 
     for kind, members in crafted_groups.items():
         oracle = local_krum_oracle if len(members) >= 2 else None
-        vectors = attack_crafted(global_prev, mat[members], kind, oracle,
-                                 [rng_for(cid) for cid in members])
-        for cid, vec in zip(members, vectors):
-            mat[cid] = vec
+        rngs = [rng_for(cid) for cid in members]
+        if members[-1] - members[0] == len(members) - 1:  # consecutive: rows as a view
+            rows = mat[members[0]:members[-1] + 1]
+            attack_crafted(global_prev, rows, kind, oracle, rngs, out=rows)
+        else:
+            attack_crafted(global_prev, mat[members], kind, oracle, rngs,
+                           out=[mat[cid] for cid in members])
 
     return stack_updates(mat)

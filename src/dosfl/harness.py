@@ -12,13 +12,17 @@ round]))``, with the oracle in ``tests/oracles.py``.
 
 Local SGD is one batched call per round: the clients' parameters are rows of
 an (n, P) matrix, and the clients whose current batch has the same size take
-their step together, with bitwise the arithmetic of a per-client loop.  The
-step's gradients land in one (n, P) buffer allocated per call and reused by
-every step, so training makes no (n, P) temporary per step.  The harness owns
-the returned matrix for the rest of the round: the attacks overwrite their
-rows in it and the rule reads it, so a round holds one (n, P) update matrix
-from training through aggregation.  It is local to a per-round helper and so
-is freed before the next round's training allocates.
+their step together, with bitwise the arithmetic of a per-client loop.  Each
+``loss_and_grad`` call takes a consecutive run of such clients whose
+gradients fit in ``GRAD_BYTES``, into one (block, P) buffer allocated per
+call of :func:`local_train` and reused by every step, so training holds the
+(n, P) matrix plus bounded scratch.  A client whose row the attack plan
+replaces with noise is not trained: its row holds the global model until the
+noise overwrites it.  The harness owns the returned matrix for the rest of
+the round: the attacks overwrite their rows in it and the rule reads it, so
+a round holds one (n, P) update matrix from training through aggregation.
+It is local to a per-round helper and so is freed before the next round's
+training allocates.
 Evaluation reads every one-vs-rest and pairwise Mann-Whitney U from one
 stable argsort per probability column, exactly, as integer counts.
 """
@@ -189,18 +193,28 @@ def _round_streams(cfg: ExperimentConfig, purpose: str,
             yield lambda cid, j=j: _generator(states[row[cid], j])
 
 
+# Gradient bytes one loss_and_grad call may write: the clients of a same-size
+# group are trained in consecutive runs of at most this many bytes of
+# parameters.  4 MiB gives 4 clients per call at P = 105004, where training
+# took 0.93-0.97x the time of all 10 clients in one call, and 1 client per
+# call 1.13-1.20x (median of 40 interleaved repeats, 2 cores); it never
+# splits a group of the 84-parameter logistic model.
+GRAD_BYTES = 4 << 20
+
+
 def local_train(model: ModelSpec, params: np.ndarray, shards: list[LabeledDataset],
-                cfg: TrainConfig, rngs: list[np.random.Generator]) -> np.ndarray:
+                cfg: TrainConfig, rngs: list[np.random.Generator | None]) -> np.ndarray:
     """Run ``local_steps`` epochs of seeded mini-batch SGD for every client at once.
 
     Client i starts from ``params``, trains on ``shards[i]`` and draws one
     permutation per epoch from ``rngs[i]``; row i of the returned (n, P)
-    matrix is its new parameter vector.  All clients advance one batch per
-    step.  Those whose batch at that step has the same size share one
-    ``loss_and_grad`` call, which writes their gradients into the leading
-    rows of one (n, P) buffer; the buffer is scaled by the learning rate in
-    place and subtracted.  Each row gets bitwise the update a per-client loop
-    would give it.
+    matrix is its new parameter vector.  A client whose stream is None is not
+    trained, and its row is ``params``.  All clients advance one batch per
+    step.  Those whose batch at that step has the same size share
+    ``loss_and_grad`` calls of at most ``GRAD_BYTES`` of parameters each,
+    which write their gradients into the leading rows of one buffer; the
+    buffer is scaled by the learning rate in place and subtracted.  Each row
+    gets bitwise the update a per-client loop would give it.
     """
     if params.size != model.param_count:
         raise ConfigError(f"params have {params.size} entries, model needs {model.param_count}")
@@ -211,26 +225,30 @@ def local_train(model: ModelSpec, params: np.ndarray, shards: list[LabeledDatase
     offset = 0
     for shard, rng in zip(shards, rngs, strict=True):
         m = len(shard)
-        orders = [offset + rng.permutation(m) for _ in range(cfg.local_steps)]
+        orders = [] if rng is None else [offset + rng.permutation(m)
+                                         for _ in range(cfg.local_steps)]
         batches.append([order[at:at + cfg.batch_size]
                         for order in orders for at in range(0, m, cfg.batch_size)])
         offset += m
     thetas = np.tile(params, (len(shards), 1))
-    grad = np.empty_like(thetas)
-    for step in range(max(len(b) for b in batches)):
+    block = min(len(shards), max(1, GRAD_BYTES // params.nbytes))
+    grad = np.empty((block, params.size))
+    for step in range(max(map(len, batches))):
         by_size: dict[int, list[int]] = {}
         for cid, b in enumerate(batches):
             if step < len(b):
                 by_size.setdefault(len(b[step]), []).append(cid)
         for group in by_size.values():
-            idx = np.stack([batches[cid][step] for cid in group])
-            # consecutive ids index a view of the rows instead of a copy
-            rows = (slice(group[0], group[-1] + 1)
-                    if group[-1] - group[0] == len(group) - 1 else group)
-            _, g = loss_and_grad(model, thetas[rows], features[idx], labels[idx],
-                                 out=grad[:len(group)])
-            g *= cfg.learning_rate  # bitwise lr * g: IEEE products commute
-            thetas[rows] -= g
+            for at in range(0, len(group), block):
+                part = group[at:at + block]
+                idx = np.stack([batches[cid][step] for cid in part])
+                # consecutive ids index a view of the rows instead of a copy
+                rows = (slice(part[0], part[-1] + 1)
+                        if part[-1] - part[0] == len(part) - 1 else part)
+                _, g = loss_and_grad(model, thetas[rows], features[idx], labels[idx],
+                                     out=grad[:len(part)])
+                g *= cfg.learning_rate  # bitwise lr * g: IEEE products commute
+                thetas[rows] -= g
     return thetas
 
 
@@ -323,13 +341,15 @@ def run_experiment(cfg: ExperimentConfig) -> list[RoundRecord]:
     theta = init_params(cfg.model, seed_stream(cfg.seed, "init"))
     attack_names = tuple(cfg.plan.kind_name_for(i) for i in range(cfg.clients))
 
-    train_streams = _round_streams(cfg, "train", range(cfg.clients))
+    # a noise row never reads its training result, so only the others train
+    trained = cfg.plan.trained_ids(cfg.clients)
+    train_streams = _round_streams(cfg, "train", trained)
     attack_streams = _round_streams(cfg, "attack", cfg.plan.stream_ids())
     records: list[RoundRecord] = []
     for t, (train_rng, attack_rng) in enumerate(zip(train_streams, attack_streams,
                                                     strict=True)):
         try:
-            result = _aggregate_round(cfg, theta, shards, train_rng, attack_rng)
+            result = _aggregate_round(cfg, theta, shards, trained, train_rng, attack_rng)
             theta = result.new_global
             metrics = evaluate(cfg.model, theta, test)
         except Exception as exc:
@@ -341,14 +361,17 @@ def run_experiment(cfg: ExperimentConfig) -> list[RoundRecord]:
 
 
 def _aggregate_round(cfg: ExperimentConfig, theta: np.ndarray, shards: list[LabeledDataset],
-                     train_rng: Callable[[int], np.random.Generator],
+                     trained: list[int], train_rng: Callable[[int], np.random.Generator],
                      attack_rng: Callable[[int], np.random.Generator]) -> AggregationResult:
-    """Train, attack and aggregate one round on one (n, P) matrix.
+    """Train the ``trained`` clients, attack and aggregate one round on one
+    (n, P) matrix.
 
     The matrix is local to this call, so it is freed when the call returns,
     before the next round's training allocates its own.
     """
-    mat = local_train(cfg.model, theta, shards, cfg.train,
-                      [train_rng(cid) for cid in range(cfg.clients)])
+    rngs: list[np.random.Generator | None] = [None] * cfg.clients
+    for cid in trained:
+        rngs[cid] = train_rng(cid)
+    mat = local_train(cfg.model, theta, shards, cfg.train, rngs)
     mat = apply_attack_plan(cfg.plan, mat, theta, attack_rng)
     return run_rule(cfg.aggregator, mat)

@@ -1,18 +1,23 @@
-"""Golden digests: one hash per experiment, pinned in ``golden_digests.json``.
+"""Golden digests: two hashes per experiment, pinned in ``golden_digests.json``.
 
 Each experiment's records are hashed by ``perfbench/worker.py``'s
 ``records_digest``, which covers every field of every round, floats by their
-exact bytes.  The pinned runs are the acceptance grid's 70 plus the short
-runs below, which cover what the grid lacks.  A change that moves any bit of
-any record moves its digest; one that changes bits on purpose regenerates the
-file with ``python3 tools/golden_digests.py``.  A record holds weights,
-scores and metrics, not the model, so a last-bit change in training shows
-only where it changes one of those.
+exact bytes.  A record holds weights, scores and metrics, not the model, so a
+last-bit change in training shows in it only where it changes one of those.
+The second hash, the theta digest, covers the exact bytes of every round's
+global parameter vector, as ``run_experiment`` hands it to
+``harness.evaluate``; :func:`run` captures them by wrapping that function.
+
+The pinned runs are the acceptance grid's 70 plus the short runs below,
+which cover what the grid lacks.  A change that moves any bit of any record
+or any global model moves a digest; one that changes bits on purpose
+regenerates the file with ``python3 tools/golden_digests.py``.
 
 The digests hold only for the numpy, scipy and BLAS builds that made them,
 so the file records those versions too.
 """
 
+import hashlib
 import json
 import sys
 from dataclasses import replace
@@ -22,15 +27,18 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 
 from worker import environment, records_digest  # noqa: E402
 
+from dosfl import harness  # noqa: E402
 from dosfl.aggregators import AggregatorSpec  # noqa: E402
 from dosfl.config import ExperimentConfig, TrainConfig  # noqa: E402
-from dosfl.harness import run_experiment  # noqa: E402
 from dosfl.models import ModelSpec  # noqa: E402
 
 GOLDEN_PATH = Path(__file__).resolve().parent / "golden_digests.json"
 VERSION_KEYS = ("numpy", "scipy", "blas")
+MAPS = ("digests", "theta_digests")  # record digests, then global-parameter digests
 
 _SHORT = ExperimentConfig(train=TrainConfig(rounds=3))
+# the wide_model workload's shape: mlp1 100-1000-4, 105004 parameters per client
+_WIDE = replace(_SHORT, model=ModelSpec(kind="mlp1", input_dim=100, hidden_dim=1000))
 # name -> configuration of a run of at most 3 rounds
 SHORT_RUNS = {
     # the many_clients workload's shape: tie-free distance columns at n = 200
@@ -39,7 +47,38 @@ SHORT_RUNS = {
     "median": replace(_SHORT, attack="noise_scaled_40", aggregator=AggregatorSpec(kind="median")),
     "label_flip": replace(_SHORT, attack="label_flip_10"),
     "mlp1": replace(_SHORT, attack="crafted_40", model=ModelSpec(kind="mlp1", hidden_dim=32)),
+    "wide_dos_crafted": replace(_WIDE, attack="crafted_40"),
+    "wide_median": replace(_WIDE, attack="noise_scaled_40",
+                           aggregator=AggregatorSpec(kind="median")),
+    "wide_trimmed_mean": replace(_WIDE, attack="noise_scaled_40",
+                                 aggregator=AggregatorSpec(kind="trimmed_mean",
+                                                           trim_fraction=0.2)),
 }
+
+
+class Run(list):
+    """One experiment's records, with the digest of its global models."""
+
+    theta_digest: str
+
+
+def run(cfg: ExperimentConfig) -> Run:
+    """``run_experiment(cfg)``, hashing the bytes of each round's global
+    parameters on their way into ``harness.evaluate``."""
+    h = hashlib.sha256()
+    evaluate = harness.evaluate
+
+    def hashing_evaluate(model, params, test):
+        h.update(params.tobytes())
+        return evaluate(model, params, test)
+
+    harness.evaluate = hashing_evaluate
+    try:
+        records = Run(harness.run_experiment(cfg))
+    finally:
+        harness.evaluate = evaluate
+    records.theta_digest = h.hexdigest()
+    return records
 
 
 def versions() -> dict[str, str]:
@@ -47,19 +86,21 @@ def versions() -> dict[str, str]:
     return {key: env[key] for key in VERSION_KEYS}
 
 
-def digests(grid: dict) -> dict[str, str]:
-    """Digest of every grid run, keyed by rule, attack and seed index, and of
-    every short run, keyed by its name."""
-    out, hashed = {}, set()
-    for (rule, attack), runs in grid.items():
-        if id(runs) in hashed:  # a second name for runs already hashed
+def digests(grid: dict) -> dict[str, dict[str, str]]:
+    """Both digests of every grid run, keyed by rule, attack and seed index,
+    and of every short run, keyed by its name; the grid's runs come from
+    :func:`run`."""
+    runs, hashed = {}, set()
+    for (rule, attack), suite in grid.items():
+        if id(suite) in hashed:  # a second name for runs already hashed
             continue
-        hashed.add(id(runs))
-        for seed, records in enumerate(runs):
-            out[f"grid/{rule}/{attack}/{seed}"] = records_digest(records)
+        hashed.add(id(suite))
+        for seed, records in enumerate(suite):
+            runs[f"grid/{rule}/{attack}/{seed}"] = records
     for name, cfg in SHORT_RUNS.items():
-        out[f"short/{name}"] = records_digest(run_experiment(cfg))
-    return out
+        runs[f"short/{name}"] = run(cfg)
+    return {"digests": {name: records_digest(r) for name, r in runs.items()},
+            "theta_digests": {name: r.theta_digest for name, r in runs.items()}}
 
 
 def load() -> dict:
@@ -67,5 +108,5 @@ def load() -> dict:
 
 
 def write(grid: dict) -> None:
-    body = {"versions": versions(), "digests": digests(grid)}
+    body = {"versions": versions(), **digests(grid)}
     GOLDEN_PATH.write_text(json.dumps(body, indent=1, sort_keys=True) + "\n")

@@ -6,8 +6,8 @@ The local-training reference runs one client at a time in plain 2-D numpy,
 with its own layer slicing and products and no call into the library.  The
 COPOD reference computes every float in input order, as the sorted-order
 kernel must reproduce it.  The attack-plan reference builds the transmitted
-matrix out of place from each attack kind's library function, as the
-in-place assembly must reproduce it."""
+matrix out of place with its own arithmetic and no call into the library's
+attack functions, as the in-place assembly must reproduce it."""
 
 import math
 
@@ -236,28 +236,57 @@ def _reference_grad(spec, flat, features, labels):
                            (delta.T @ hidden).ravel(), delta.sum(axis=0)])
 
 
+def reference_crafted_point(global_prev, own, kind, oracle):
+    """The crafted point c(lam) = g - lam * s and lam, found out of place.
+
+    The offsets g - h_j are one (m, d) array; ``oracle`` gets each halving
+    candidate's (m+1, m+1) vote matrix in turn, and the first whose vote
+    returns 0 is lam.  Without an oracle, or when no vote is won, lam is the
+    last candidate."""
+    from scipy.spatial.distance import pdist, squareform
+
+    direction = np.sign(np.mean(own, axis=0) - global_prev)
+    candidates = [kind.lambda_init * 2.0 ** -k for k in range(kind.halving_steps + 1)]
+    lam = candidates[-1]
+    if oracle is not None:
+        offsets = global_prev - own
+        base = np.einsum("ij,ij->i", offsets, offsets)
+        proj = np.einsum("ij,j->i", offsets, direction)
+        s_sq = float(np.count_nonzero(direction))
+        honest_sq = np.pad(squareform(pdist(own, "sqeuclidean")), (1, 0))
+        for cand in candidates:
+            sq = honest_sq.copy()
+            sq[0, 1:] = sq[1:, 0] = np.maximum(base - 2.0 * cand * proj
+                                               + cand * cand * s_sq, 0.0)
+            if oracle(sq) == 0:
+                lam = cand
+                break
+    return global_prev - lam * direction, lam
+
+
 def reference_apply_attack_plan(plan, honest, global_prev, rng_for):
     """The transmitted update matrix built out of place: a list of the honest
-    rows, each attacked row replaced by its kind's function of the untouched
-    honest matrix, crafted groups in first-member order, then ``np.stack``."""
-    from dosfl.attacks import (Crafted, GaussianNoise, Scale, attack_crafted,
-                               attack_gaussian_noise, attack_scale, local_krum_oracle)
+    rows, each attacked row replaced by a new vector computed from the
+    untouched honest matrix, crafted groups in first-member order, then
+    ``np.stack``.  Noise is ``sigma * z`` and each colluder's vector is
+    ``c + 0.01 * lam * z`` for fresh draws z, with c and lam from
+    :func:`reference_crafted_point` under the local Krum vote."""
+    from dosfl.attacks import Crafted, GaussianNoise, Scale, local_krum_oracle
 
     rows = list(honest)
     groups = {}
     for cid, kind in sorted(plan.assignments.items()):
         if isinstance(kind, GaussianNoise):
-            rows[cid] = attack_gaussian_noise(honest[cid], kind, rng_for(cid))
+            rows[cid] = kind.sigma * rng_for(cid).standard_normal(honest.shape[1])
         elif isinstance(kind, Scale):
-            rows[cid] = attack_scale(honest[cid], kind)
+            rows[cid] = kind.factor * honest[cid]
         elif isinstance(kind, Crafted):
             groups.setdefault(kind, []).append(cid)
     for kind, members in groups.items():
         oracle = local_krum_oracle if len(members) >= 2 else None
-        vectors = attack_crafted(global_prev, honest[members], kind, oracle,
-                                 [rng_for(cid) for cid in members])
-        for cid, vec in zip(members, vectors):
-            rows[cid] = vec
+        crafted, lam = reference_crafted_point(global_prev, honest[members], kind, oracle)
+        for cid in members:
+            rows[cid] = crafted + 0.01 * lam * rng_for(cid).standard_normal(crafted.size)
     return np.stack(rows)
 
 

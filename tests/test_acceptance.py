@@ -22,7 +22,6 @@ from dosfl.aggregators import AggregatorSpec, aggregate_dos, aggregate_krum, agg
 from dosfl.cli import main
 from dosfl.config import ExperimentConfig, expand_groups
 from dosfl.copod import copod_scores
-from dosfl.harness import run_experiment
 from dosfl.models import ModelSpec, loss_and_grad
 from dosfl.params import softmax_weights
 
@@ -54,8 +53,9 @@ def suite_config(aggregator: str, attack: str, seed: int, *, custom_plan=(), tri
 
 
 def run_suite(aggregator: str, attack: str, **kw):
-    """One aggregator/attack combination across the reference seeds."""
-    return [run_experiment(suite_config(aggregator, attack, seed, **kw)) for seed in SEEDS]
+    """One aggregator/attack combination across the reference seeds, each run
+    carrying the digest of its global models."""
+    return [golden.run(suite_config(aggregator, attack, seed, **kw)) for seed in SEEDS]
 
 
 # the breakdown sweep's noise fractions besides 0.4, which is the noise_40 scenario
@@ -183,10 +183,14 @@ def test_outputs_match_golden_digests(grid):
         pytest.fail(f"golden digests were made with {pinned['versions']}, this run has "
                     f"{golden.versions()}; regenerate them with python3 tools/golden_digests.py")
     got = golden.digests(grid)
-    assert sorted(got) == sorted(pinned["digests"])
-    moved = sorted(name for name, digest in pinned["digests"].items() if got[name] != digest)
-    assert report(not moved, f"{len(got) - len(moved)} of {len(got)} runs match their "
-                             f"golden digest; moved: {moved}")
+    for key in golden.MAPS:
+        assert sorted(got[key]) == sorted(pinned[key])
+    moved = {key: sorted(name for name, digest in pinned[key].items() if got[key][name] != digest)
+             for key in golden.MAPS}
+    for key, names in moved.items():
+        report(not names, f"{len(got[key]) - len(names)} of {len(got[key])} runs match their "
+                          f"golden {key}; moved: {names}")
+    assert not any(moved.values())
 
 
 def test_copod_matches_bruteforce_oracle():

@@ -3,6 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from dosfl import aggregators
 from dosfl.aggregators import (
     AggregatorSpec,
     aggregate_dos,
@@ -217,3 +218,38 @@ def test_rule_peak_memory_is_linear_in_input(rule):
     finally:
         tracemalloc.stop()
     assert peak < 2 * n * d * 8
+
+
+@pytest.mark.parametrize("n,trim", [(9, None), (10, None), (10, 0.2), (12, 0.1)])
+def test_order_rules_in_column_blocks_equal_one_full_sort_bitwise(monkeypatch, n, trim):
+    # Blocks of 3 columns over 13 leave a one-column tail.  12 rows trimmed
+    # by 1 keep 10, where a one-column mean takes numpy's pairwise sum and
+    # differs in the last bit from the full matrix's mean.
+    monkeypatch.setattr(aggregators, "SORT_BYTES", 3 * n * 8)
+    rng = np.random.default_rng(n)
+    for _ in range(20):
+        mat = rng.standard_normal((n, 13)) * 10.0 ** rng.integers(-3, 4, size=(n, 1))
+        if trim is None:
+            k, got = (n - 1) // 2, aggregate_median(mat).new_global
+        else:
+            k, got = int(trim * n), aggregate_trimmed_mean(mat, trim).new_global
+        assert got.tobytes() == np.sort(mat, axis=0)[k:n - k].mean(axis=0).tobytes()
+
+
+@pytest.mark.parametrize("trim", [None, 0.2])
+def test_order_rules_peak_memory_is_kept_rows_and_one_block(trim):
+    # wide_model's shape: beside the input, the kept rows, the result and one
+    # sorted block; a sorted copy of the whole matrix would exceed it.
+    n, d = 10, 105004
+    mat = np.random.default_rng(12).standard_normal((n, d))
+    k = (n - 1) // 2 if trim is None else int(trim * n)
+    tracemalloc.start()
+    try:
+        if trim is None:
+            aggregate_median(mat)
+        else:
+            aggregate_trimmed_mean(mat, trim)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= (n - 2 * k + 1) * d * 8 + 2 * aggregators.SORT_BYTES

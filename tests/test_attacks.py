@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -18,7 +20,7 @@ from dosfl.attacks import (
 from dosfl.data import LabeledDataset
 from dosfl.errors import ConfigError, NumericError
 
-from .oracles import krum_select_oracle, reference_apply_attack_plan
+from .oracles import krum_select_oracle, reference_apply_attack_plan, reference_crafted_point
 
 
 def rng_of(seed):
@@ -248,6 +250,76 @@ def test_apply_plan_in_place_equals_the_out_of_place_reference_bytewise(seed):
     out = apply_attack_plan(plan, mat, prev, plan_rngs(seed))
     assert out is mat
     assert out.tobytes() == expected.tobytes()
+
+
+WIDE_D = 105004  # the wide_model workload's parameter count
+
+
+def wide_crafted_case():
+    """Ten honest rows at d = WIDE_D, a global model, and the sign vector s.
+
+    Rows 6-9 are one crafted group, read as a view.  Row 6 lies near
+    prev - 0.625 s and rows 7-9 near prev + 3 s, so the group's vote accepts
+    the fifth candidate of Crafted(10.0, 4).  Rows 1, 3 and 4 are a second
+    group, read as a copy, whose vote accepts nothing.
+    """
+    rng = np.random.default_rng(23)
+    prev = rng.standard_normal(WIDE_D)
+    s = rng.choice([-1.0, 1.0], size=WIDE_D)
+    honest = prev + 0.5 * rng.standard_normal((10, WIDE_D))
+    honest[6] = prev - 0.625 * s + 1e-4 * rng.standard_normal(WIDE_D)
+    honest[7:] = prev + 3.0 * s + 0.01 * rng.standard_normal((3, WIDE_D))
+    plan = AttackPlan(assignments={
+        0: GaussianNoise(3.0), 2: Scale(-0.7), 5: LabelFlip(),
+        **{i: Crafted(10.0, 4) for i in (6, 7, 8, 9)},
+        **{i: Crafted(2.0, 4) for i in (1, 3, 4)}})
+    return plan, honest, prev, s
+
+
+def test_apply_plan_equals_the_reference_bytewise_at_wide_d():
+    plan, honest, prev, s = wide_crafted_case()
+    expected = reference_apply_attack_plan(plan, honest, prev, plan_rngs(4))
+    mat = honest.copy()
+    out = apply_attack_plan(plan, mat, prev, plan_rngs(4))
+    assert out is mat
+    assert out.tobytes() == expected.tobytes()
+    # the view group's vote accepted lam = 0.625; its jitter has sd 0.00625
+    assert np.abs(out[6:] - (prev - 0.625 * s)).max() < 0.05
+
+
+def test_crafted_vote_matrices_equal_the_reference_bytewise_at_wide_d():
+    # At this d a per-row einsum of the offsets differs from the 2-D one in
+    # the last bits; only the vote matrices show it, unless it flips a vote.
+    _, honest, prev, _ = wide_crafted_case()
+
+    def recording(votes):
+        def oracle(sq):
+            votes.append(sq.copy())
+            return local_krum_oracle(sq)
+        return oracle
+
+    seen, expected = [], []
+    kind = Crafted(10.0, 4)
+    reference_crafted_point(prev, honest[6:], kind, recording(expected))
+    attack_crafted(prev, honest[6:], kind, recording(seen), [rng_of(i) for i in range(4)])
+    assert len(seen) == len(expected) == 5
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(seen, expected))
+
+
+def test_crafted_apply_peak_memory_is_one_group_array():
+    # Beside the matrix, a crafted group of m = 4 consecutive rows holds its
+    # (m, d) offsets and a few d-vectors: no copy of its rows and no list of
+    # jittered vectors.
+    plan, honest, prev, _ = wide_crafted_case()
+    plan = AttackPlan(assignments={i: Crafted(10.0, 4) for i in (6, 7, 8, 9)})
+    rngs = plan_rngs(4)
+    tracemalloc.start()
+    try:
+        apply_attack_plan(plan, honest, prev, rngs)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= (4 + 2) * WIDE_D * 8
 
 
 def test_apply_plan_names_a_row_that_scaling_overflows():

@@ -229,6 +229,53 @@ def test_local_train_peak_memory_is_two_parameter_matrices():
     assert peak < 3 * 4 * params.nbytes + shard_bytes
 
 
+@pytest.mark.parametrize("kind", ["logistic", "mlp1"])
+@pytest.mark.parametrize("block", [1, 2, 3])
+def test_training_in_gradient_blocks_matches_per_client_loop(monkeypatch, kind, block):
+    # Shards of 4, 32, 17, 14, 5 and 18 samples in batches of 4: client 3 is
+    # not trained, so from step 1 on the same-size groups are ids 1, 2, 5 and
+    # 1, 2, 4, 5; with the budget binding they go in runs of ``block``.
+    spec, params, shards = _training_case(kind, "label_skew", 6)
+    monkeypatch.setattr(harness, "GRAD_BYTES", block * params.nbytes)
+    calls = []
+    loss_and_grad_ = harness.loss_and_grad
+
+    def recording(model, flat, *args, **kwargs):
+        calls.append(len(flat))
+        return loss_and_grad_(model, flat, *args, **kwargs)
+
+    monkeypatch.setattr(harness, "loss_and_grad", recording)
+    cfg = TrainConfig(learning_rate=0.3, local_steps=2, batch_size=4, rounds=1)
+    rngs = [None if i == 3 else rng_of(40 + i) for i in range(len(shards))]
+    out = local_train(spec, params, shards, cfg, rngs)
+    assert max(calls) == block
+    assert out[3].tobytes() == params.tobytes()
+    for i, shard in enumerate(shards):
+        if i != 3:
+            ref = reference_local_train(spec, params, shard, cfg, rng_of(40 + i))
+            np.testing.assert_array_equal(out[i], ref)
+
+
+def test_local_train_peak_memory_is_one_matrix_and_the_gradient_budget():
+    # The wide_model shape: GRAD_BYTES binds at 4 of 10 clients per call, so
+    # the gradient buffer is 4 rows; the bound also counts the concatenated
+    # shards.  Any second (n, P) array would exceed it.
+    spec = ModelSpec(kind="mlp1", input_dim=100, class_count=4, hidden_dim=1000)
+    ds = generate_synthetic(4, 100, 20, 3.0, rng_of(38))
+    shards = partition_iid(ds, 10, rng_of(39))
+    params = init_params(spec, rng_of(40))
+    assert harness.GRAD_BYTES // params.nbytes == 4
+    cfg = TrainConfig(learning_rate=0.1, local_steps=1, batch_size=4, rounds=1)
+    shard_bytes = sum(s.features.nbytes + s.labels.nbytes for s in shards)
+    tracemalloc.start()
+    try:
+        local_train(spec, params, shards, cfg, [rng_of(41 + i) for i in range(10)])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 10 * params.nbytes + harness.GRAD_BYTES + shard_bytes
+
+
 def test_local_train_rejects_wrong_param_count():
     spec, params, shards = _training_case("logistic", "iid", 2)
     cfg = TrainConfig(batch_size=8, rounds=1)
@@ -504,7 +551,7 @@ def test_run_experiment_hands_out_seed_sequence_streams(monkeypatch):
     def recording_train(model, params, shards, cfg, rngs):
         rounds.append(len(rounds))
         handed.extend(("train", cid, rounds[-1], rng.bit_generator.state)
-                      for cid, rng in enumerate(rngs))
+                      for cid, rng in enumerate(rngs) if rng is not None)
         return train(model, params, shards, cfg, rngs)
 
     def recording_apply(plan, honest, global_prev, rng_for):
@@ -519,8 +566,9 @@ def test_run_experiment_hands_out_seed_sequence_streams(monkeypatch):
     monkeypatch.setattr(harness, "local_train", recording_train)
     monkeypatch.setattr(harness, "apply_attack_plan", recording_apply)
     run_experiment(setup)
+    # the noise client 1 is not trained, so it gets no train stream
     assert sorted(key for *key, _ in handed) == sorted(
-        [["train", cid, t] for cid in range(6) for t in range(3)]
+        [["train", cid, t] for cid in (0, 2, 3, 4, 5) for t in range(3)]
         + [["attack", cid, t] for cid in (1, 3, 4) for t in range(3)])
     for purpose, cid, t, state in handed:
         ref = reference_seed_stream(setup.seed, harness._purpose_tag(purpose), cid, t)

@@ -241,8 +241,9 @@ def test_krum_kernel_on_squared_distances_matches_oracle(case):
 class _NoJitter:
     """Stands in for a colluder's rng so the transmitted point is c(lam) exactly."""
 
-    def standard_normal(self, size):
-        return np.zeros(size)
+    def standard_normal(self, out):
+        out[...] = 0.0
+        return out
 
 
 @st.composite

@@ -1,7 +1,8 @@
 """Regenerate ``tests/golden_digests.json`` from the current tree.
 
 Runs the acceptance grid and the short runs of ``tests/golden.py`` and writes
-one digest per run, with the numpy, scipy and BLAS versions that made them.
+both of its maps, a record digest and a theta digest per run, with the numpy,
+scipy and BLAS versions that made them.
 A change that moves bits on purpose reruns this and commits the new file:
 
     python3 tools/golden_digests.py
