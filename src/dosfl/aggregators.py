@@ -3,8 +3,8 @@
 Every rule takes one round's (n, d) update matrix, row i from client i, as
 built and checked by ``params.stack_updates``, and returns an
 AggregationResult whose weight vector (when one exists) follows the rows.
-The harness owns that matrix and frees it when the round ends, so a rule
-must not return a view of it: Krum copies its selected row.
+As :mod:`dosfl.params` states, a rule returns no view of that matrix: Krum
+copies its selected row.
 Median and trimmed mean have no faithful per-client attribution, so their
 result carries ``weights=None`` rather than a fabricated vector.  They sort
 the matrix one column block at a time and keep only the rows they average,

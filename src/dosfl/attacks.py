@@ -2,18 +2,19 @@
 
 :func:`apply_attack_plan` takes a round's honest local-training matrix, row i
 from client i, and turns it into the transmitted (n, d) update matrix in
-place: the harness owns the round's one matrix, and each attacked client's
-row is overwritten with a transformation of (or a replacement for) its
-honest row.  Noise is drawn straight into its row, which the harness does not
-train.  A crafted group reads its members' rows as a view when their ids are
-consecutive, keeps one (m, d) array of offsets for its local Krum vote, and
-draws each member's jitter straight into its row.  Label flipping is the one
+place, under the ownership contract in :mod:`dosfl.params`: each attacked
+client's row is overwritten with a transformation of (or a replacement for)
+its honest row.  Noise is drawn straight into its row, which the harness does
+not train.  A crafted group gathers its members' rows into one (m, d) array,
+which serves in turn as their honest rows, the offsets of its local Krum vote
+and their jittered vectors, and is written back.  Label flipping is the one
 exception: it poisons the client's training data before any round runs, so
 those rows pass through untouched.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Union
 
@@ -33,8 +34,8 @@ class GaussianNoise:
     sigma: float = 1.0
 
     def __post_init__(self):
-        if self.sigma <= 0:
-            raise ConfigError(f"noise sigma must be > 0, got {self.sigma}")
+        if not 0 < self.sigma < math.inf:
+            raise ConfigError(f"noise sigma must be finite and > 0, got {self.sigma}")
 
 
 @dataclass(frozen=True)
@@ -44,8 +45,8 @@ class Scale:
     factor: float
 
     def __post_init__(self):
-        if self.factor == 0:
-            raise ConfigError("scale factor must be nonzero")
+        if not 0 < abs(self.factor) < math.inf:
+            raise ConfigError(f"scale factor must be finite and nonzero, got {self.factor}")
 
 
 @dataclass(frozen=True)
@@ -71,8 +72,8 @@ class Crafted:
     halving_steps: int = 10
 
     def __post_init__(self):
-        if self.lambda_init <= 0:
-            raise ConfigError(f"lambda_init must be > 0, got {self.lambda_init}")
+        if not 0 < self.lambda_init < math.inf:
+            raise ConfigError(f"lambda_init must be finite and > 0, got {self.lambda_init}")
         if self.halving_steps < 0:
             raise ConfigError(f"halving_steps must be >= 0, got {self.halving_steps}")
 
@@ -123,8 +124,10 @@ def attack_gaussian_noise(row: np.ndarray, kind: GaussianNoise,
     return row
 
 
-def attack_scale(honest: np.ndarray, kind: Scale) -> np.ndarray:
-    return kind.factor * honest
+def attack_scale(row: np.ndarray, kind: Scale) -> np.ndarray:
+    """Scale the float64 ``row`` in place, bitwise ``factor * row``, and return it."""
+    row *= kind.factor
+    return row
 
 
 def attack_label_flip(dataset: LabeledDataset, kind: LabelFlip,
@@ -154,15 +157,14 @@ def local_krum_oracle(sq: np.ndarray) -> int:
     return krum_select(sq, len(sq) - 3)
 
 
-def attack_crafted(global_prev: np.ndarray, honest: np.ndarray, kind: Crafted,
-                   krum_oracle: Callable[[np.ndarray], int] | None,
-                   rngs, out: np.ndarray | None = None) -> np.ndarray:
+def attack_crafted(global_prev: np.ndarray, rows: np.ndarray, kind: Crafted,
+                   krum_oracle: Callable[[np.ndarray], int] | None, rngs) -> np.ndarray:
     """Directed-deviation attack shared by all colluding clients.
 
     Estimates the benign direction from the colluders' own honest training
-    results, the rows of ``honest``, then walks the previous global model
+    results, which ``rows`` holds on entry, then walks the previous global model
     against it: c(lam) = g - lam * s with g = global_prev and
-    s = sign(mean(honest) - g).
+    s = sign(mean(rows) - g).
     The largest lam from {kind.lambda_init * 2^-k} whose crafted point wins the
     local Krum vote, ties included, is kept (smallest candidate if none wins,
     or if no oracle is available).  The vote's squared distances are closed
@@ -171,44 +173,45 @@ def attack_crafted(global_prev: np.ndarray, honest: np.ndarray, kind: Crafted,
     transmits c(lam) plus Normal(0, (0.01*lam)^2) jitter so the copies are not
     exact duplicates.
 
-    Row i of ``out``, an (m, d) float64 array or a sequence of m float64 rows,
-    receives colluder i's vector, drawn in place from ``rngs[i]`` and returned;
-    ``out`` may be ``honest`` itself, which is read before any row is written.
-    Without ``out`` the rows go to a new array.  Beside ``out`` the call holds
-    one (m, d) array, the offsets g - h_j during the vote, and O(d) vectors.
+    ``rows`` is an (m, d) float64 array, overwritten in place and returned:
+    row i ends as colluder i's vector, drawn from ``rngs[i]``.  Beside it the
+    call holds O(d) vectors.
     """
-    if len(honest) == 0:
+    if len(rows) == 0:
         raise ConfigError("crafted attack needs at least one colluder's honest update")
-    if len(rngs) != len(honest):
-        raise ConfigError(f"{len(honest)} colluders but {len(rngs)} rng streams")
-    direction = np.sign(np.mean(honest, axis=0) - global_prev)
+    if len(rngs) != len(rows):
+        raise ConfigError(f"{len(rows)} colluders but {len(rngs)} rng streams")
+    direction = np.mean(rows, axis=0)
+    direction -= global_prev
+    np.sign(direction, out=direction)
     candidates = [kind.lambda_init * 2.0 ** -k for k in range(kind.halving_steps + 1)]
     lam = (candidates[-1] if krum_oracle is None else
-           _crafted_lambda(global_prev, honest, direction, candidates, krum_oracle))
-    crafted = global_prev - lam * direction
-    if out is None:
-        out = np.empty((len(rngs), crafted.size))
-    for row, rng in zip(out, rngs):
+           _crafted_lambda(global_prev, rows, direction, candidates, krum_oracle))
+    # bitwise g - lam * s: the direction becomes the crafted point
+    direction *= lam
+    crafted = np.subtract(global_prev, direction, out=direction)
+    for row, rng in zip(rows, rngs):
         # bitwise crafted + (0.01 * lam) * z: IEEE sums and products commute
         rng.standard_normal(out=row)
         row *= 0.01 * lam
         row += crafted
-    return out
+    return rows
 
 
-def _crafted_lambda(global_prev: np.ndarray, honest: np.ndarray, direction: np.ndarray,
+def _crafted_lambda(global_prev: np.ndarray, rows: np.ndarray, direction: np.ndarray,
                     candidates: list[float], krum_oracle: Callable[[np.ndarray], int]) -> float:
     """The first candidate whose crafted point wins the local vote, else the last.
 
-    The offsets g - h_j are one 2-D array, freed on return: a per-row einsum
-    differs from the 2-D one in the last bits at d = 105004.
+    Reads the colluders' distances from ``rows``, then overwrites it with the
+    offsets g - h_j, one 2-D array: a per-row einsum differs from the 2-D one
+    in the last bits at d = 105004.
     """
-    offsets = global_prev - honest
+    honest_sq = np.pad(squareform(pdist(rows, "sqeuclidean")), (1, 0))
+    offsets = np.subtract(global_prev, rows, out=rows)
     # einsum, not BLAS: small threaded products can stall
     base = np.einsum("ij,ij->i", offsets, offsets)
     proj = np.einsum("ij,j->i", offsets, direction)
     s_sq = float(np.count_nonzero(direction))
-    honest_sq = np.pad(squareform(pdist(honest, "sqeuclidean")), (1, 0))
     for cand in candidates:
         sq = honest_sq.copy()
         sq[0, 1:] = sq[1:, 0] = np.maximum(base - 2.0 * cand * proj + cand * cand * s_sq, 0.0)
@@ -226,9 +229,8 @@ def apply_attack_plan(plan: AttackPlan, mat: np.ndarray, global_prev: np.ndarray
     itself (any other dtype or layout is converted to such a copy first).
     Honest and label-flip rows keep their bits (the flip already poisoned
     their data).  Crafted clients sharing the same parameters collude as one
-    group that reads its members' honest rows, as a view when their ids are
-    consecutive and as a copy otherwise, before any of them is overwritten.
-    Client i's attack draws from ``rng_for(i)``.
+    group, which gathers its members' honest rows into one array, attacks it
+    and writes it back.  Client i's attack draws from ``rng_for(i)``.
     """
     mat = np.ascontiguousarray(mat, dtype=np.float64)
     crafted_groups: dict[Crafted, list[int]] = {}
@@ -236,18 +238,14 @@ def apply_attack_plan(plan: AttackPlan, mat: np.ndarray, global_prev: np.ndarray
         if isinstance(kind, GaussianNoise):
             attack_gaussian_noise(mat[cid], kind, rng_for(cid))
         elif isinstance(kind, Scale):
-            mat[cid] = attack_scale(mat[cid], kind)
+            attack_scale(mat[cid], kind)
         elif isinstance(kind, Crafted):
             crafted_groups.setdefault(kind, []).append(cid)
 
     for kind, members in crafted_groups.items():
         oracle = local_krum_oracle if len(members) >= 2 else None
-        rngs = [rng_for(cid) for cid in members]
-        if members[-1] - members[0] == len(members) - 1:  # consecutive: rows as a view
-            rows = mat[members[0]:members[-1] + 1]
-            attack_crafted(global_prev, rows, kind, oracle, rngs, out=rows)
-        else:
-            attack_crafted(global_prev, mat[members], kind, oracle, rngs,
-                           out=[mat[cid] for cid in members])
+        rows = mat[members]
+        attack_crafted(global_prev, rows, kind, oracle, [rng_for(cid) for cid in members])
+        mat[members] = rows
 
     return stack_updates(mat)

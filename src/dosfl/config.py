@@ -121,8 +121,8 @@ class TrainConfig:
     rounds: int = 100
 
     def __post_init__(self):
-        if self.learning_rate < 0:
-            raise ConfigError(f"learning_rate must be >= 0, got {self.learning_rate}")
+        if not 0 <= self.learning_rate < math.inf:
+            raise ConfigError(f"learning_rate must be finite and >= 0, got {self.learning_rate}")
         if self.local_steps < 1 or self.batch_size < 1 or self.rounds < 0:
             raise ConfigError("need local_steps >= 1, batch_size >= 1, rounds >= 0")
 
@@ -175,9 +175,22 @@ class ExperimentConfig:
             raise ConfigError(f"unknown partition {self.partition!r}")
         if self.samples_per_class < 1 or self.test_per_class < 1:
             raise ConfigError("need samples_per_class >= 1 and test_per_class >= 1")
+        samples = self.samples_per_class * self.model.class_count
+        if self.clients > samples:
+            raise ConfigError(f"cannot split {samples} samples across {self.clients} clients")
+        if not math.isfinite(self.class_separation):
+            raise ConfigError(f"class_separation must be finite, got {self.class_separation}")
+        # whatever the partition, as trim_fraction is checked whatever the rule
+        if not 0 < self.skew_alpha < math.inf:
+            raise ConfigError(f"skew_alpha must be finite and > 0, got {self.skew_alpha}")
         bad = [i for i in plan.assignments if not 0 <= i < self.clients]
         if bad:
             raise ConfigError(f"attack plan names unknown clients: {bad}")
+        for cid, flip in plan.label_flip_items():
+            for cls in (flip.source, flip.target):
+                if not 0 <= cls < self.model.class_count:
+                    raise ConfigError(f"client {cid} flips class {cls}, outside the "
+                                      f"label alphabet [0, {self.model.class_count})")
         if len(plan.assignments) >= self.clients:
             raise ConfigError("attack plan must leave at least one honest client")
         if self.aggregator.kind == "krum":

@@ -18,11 +18,9 @@ gradients fit in ``GRAD_BYTES``, into one (block, P) buffer allocated per
 call of :func:`local_train` and reused by every step, so training holds the
 (n, P) matrix plus bounded scratch.  A client whose row the attack plan
 replaces with noise is not trained: its row holds the global model until the
-noise overwrites it.  The harness owns the returned matrix for the rest of
-the round: the attacks overwrite their rows in it and the rule reads it, so
-a round holds one (n, P) update matrix from training through aggregation.
-It is local to a per-round helper and so is freed before the next round's
-training allocates.
+noise overwrites it.  The returned matrix is the round's one update
+matrix, owned as :mod:`dosfl.params` states, and is local to a per-round
+helper.
 Evaluation reads every one-vs-rest and pairwise Mann-Whitney U from one
 stable argsort per probability column, exactly, as integer counts.
 """

@@ -47,6 +47,9 @@ SHORT_RUNS = {
     "median": replace(_SHORT, attack="noise_scaled_40", aggregator=AggregatorSpec(kind="median")),
     "label_flip": replace(_SHORT, attack="label_flip_10"),
     "mlp1": replace(_SHORT, attack="crafted_40", model=ModelSpec(kind="mlp1", hidden_dim=32)),
+    # one crafted group whose ids are not consecutive, which no scenario assigns
+    "crafted_split": replace(_SHORT, attack="custom",
+                             custom_plan=tuple((cid, "crafted") for cid in (2, 5, 8, 9))),
     "wide_dos_crafted": replace(_WIDE, attack="crafted_40"),
     "wide_median": replace(_WIDE, attack="noise_scaled_40",
                            aggregator=AggregatorSpec(kind="median")),

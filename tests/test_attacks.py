@@ -107,7 +107,8 @@ def test_crafted_moves_against_benign_direction():
     prev = np.zeros(4)
     honest = np.array([[1.0, 2.0, -1.0, 0.5] + 0.01 * rng_of(i).standard_normal(4)
                        for i in range(3)])
-    out = attack_crafted(prev, honest, Crafted(2.0, 4), None, [rng_of(10), rng_of(11), rng_of(12)])
+    out = attack_crafted(prev, honest.copy(), Crafted(2.0, 4), None,
+                         [rng_of(10), rng_of(11), rng_of(12)])
     s = np.sign(np.mean(honest, axis=0) - prev)
     for crafted in out:
         moved = crafted - prev
@@ -133,7 +134,7 @@ def test_crafted_lambda_search_matches_bruteforce():
         seen.append(sq)
         return krum_select(sq, 1)
 
-    out = attack_crafted(prev, honest, Crafted(8.0, 6), krum_oracle_f1,
+    out = attack_crafted(prev, honest.copy(), Crafted(8.0, 6), krum_oracle_f1,
                          [rng_of(1), rng_of(2), rng_of(3)])
     for lam, sq in zip(candidates, seen):
         rows = [prev - lam * np.sign(np.mean(honest) - prev), *honest]
@@ -258,10 +259,10 @@ WIDE_D = 105004  # the wide_model workload's parameter count
 def wide_crafted_case():
     """Ten honest rows at d = WIDE_D, a global model, and the sign vector s.
 
-    Rows 6-9 are one crafted group, read as a view.  Row 6 lies near
+    Rows 6-9 are one crafted group, with consecutive ids.  Row 6 lies near
     prev - 0.625 s and rows 7-9 near prev + 3 s, so the group's vote accepts
     the fifth candidate of Crafted(10.0, 4).  Rows 1, 3 and 4 are a second
-    group, read as a copy, whose vote accepts nothing.
+    group, with ids that are not consecutive, whose vote accepts nothing.
     """
     rng = np.random.default_rng(23)
     prev = rng.standard_normal(WIDE_D)
@@ -283,7 +284,7 @@ def test_apply_plan_equals_the_reference_bytewise_at_wide_d():
     out = apply_attack_plan(plan, mat, prev, plan_rngs(4))
     assert out is mat
     assert out.tobytes() == expected.tobytes()
-    # the view group's vote accepted lam = 0.625; its jitter has sd 0.00625
+    # the group of rows 6-9 accepted lam = 0.625; its jitter has sd 0.00625
     assert np.abs(out[6:] - (prev - 0.625 * s)).max() < 0.05
 
 
@@ -307,19 +308,20 @@ def test_crafted_vote_matrices_equal_the_reference_bytewise_at_wide_d():
 
 
 def test_crafted_apply_peak_memory_is_one_group_array():
-    # Beside the matrix, a crafted group of m = 4 consecutive rows holds its
-    # (m, d) offsets and a few d-vectors: no copy of its rows and no list of
-    # jittered vectors.
-    plan, honest, prev, _ = wide_crafted_case()
-    plan = AttackPlan(assignments={i: Crafted(10.0, 4) for i in (6, 7, 8, 9)})
-    rngs = plan_rngs(4)
-    tracemalloc.start()
-    try:
-        apply_attack_plan(plan, honest, prev, rngs)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak <= (4 + 2) * WIDE_D * 8
+    # Beside the matrix, a crafted group of m = 4 rows holds one (m, d) array,
+    # its rows, offsets and jittered vectors in turn, and a few d-vectors,
+    # whether or not its ids are consecutive.
+    _, honest, prev, _ = wide_crafted_case()
+    for members in ((6, 7, 8, 9), (1, 3, 4, 8)):
+        plan = AttackPlan(assignments={i: Crafted(10.0, 4) for i in members})
+        rngs = plan_rngs(4)
+        tracemalloc.start()
+        try:
+            apply_attack_plan(plan, honest, prev, rngs)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= (4 + 2) * WIDE_D * 8, members
 
 
 def test_apply_plan_names_a_row_that_scaling_overflows():
@@ -343,3 +345,9 @@ def test_kind_validation():
         Crafted(lambda_init=0.0)
     with pytest.raises(ConfigError):
         Crafted(halving_steps=-1)
+    # the config parser rejects these on their line, so the kinds do too
+    for bad in (float("nan"), float("inf"), -float("inf")):
+        for kind, name in ((GaussianNoise, "sigma"), (Scale, "factor"),
+                           (Crafted, "lambda_init")):
+            with pytest.raises(ConfigError):
+                kind(**{name: bad})

@@ -12,6 +12,7 @@ from dosfl.cli import main
 from dosfl.config import (
     SCENARIOS,
     ExperimentConfig,
+    TrainConfig,
     expand_groups,
     parse_attack_kind,
     parse_config_text,
@@ -162,7 +163,17 @@ def test_custom_entries_require_custom_mode():
     lambda: ExperimentConfig(attack="bogus"),
     lambda: ExperimentConfig(custom_plan=((1, "noise()"),)),
     lambda: replace(ExperimentConfig(), seed=-1),
-], ids=["clients", "attack", "custom_plan", "replace_seed"])
+    lambda: TrainConfig(learning_rate=float("nan")),
+    lambda: TrainConfig(learning_rate=float("inf")),
+    lambda: ExperimentConfig(class_separation=float("inf")),
+    lambda: ExperimentConfig(skew_alpha=float("nan")),
+    lambda: ExperimentConfig(partition="label_skew", skew_alpha=0.0),
+    lambda: ExperimentConfig(clients=900),
+    lambda: ExperimentConfig(attack="custom",
+                             custom_plan=((1, "label_flip(source=0,target=7)"),)),
+], ids=["clients", "attack", "custom_plan", "replace_seed", "learning_rate_nan",
+        "learning_rate_inf", "class_separation_inf", "skew_alpha_nan", "skew_alpha_zero",
+        "clients_over_samples", "label_flip_class"])
 def test_invalid_config_raises_at_construction(build):
     with pytest.raises(ConfigError):
         build()
@@ -276,6 +287,13 @@ def test_cmd_run_invalid_config_exits_2(tmp_path):
     cfg = write_cfg(tmp_path, "clients = 1\n")
     assert main(["run", "--config", str(cfg)]) == 2
     assert not (tmp_path / "out" / "metrics.csv").exists()
+
+
+def test_cmd_run_unrunnable_config_exits_2_before_output(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, "data.partition = label_skew\ndata.alpha = 0\n")
+    assert main(["run", "--config", str(cfg)]) == 2
+    assert str(cfg) in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_cmd_run_missing_config_exits_2(tmp_path):
