@@ -100,12 +100,14 @@ def _load_config(args) -> ExperimentConfig:
 
 def cmd_run(args) -> int:
     cfg = _load_config(args)
+    started = time.perf_counter()
+    try:
+        records = run_experiment(cfg)
+    except ConfigError as exc:  # a config that built but cannot run, such as an empty shard
+        raise ConfigError(f"{args.config}: {exc}") from exc
+    runtime = time.perf_counter() - started
     out = Path(cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)
-    started = time.perf_counter()
-    records = run_experiment(cfg)
-    runtime = time.perf_counter() - started
-
     write_metrics_csv(records, out / "metrics.csv")
     write_weights_csv(records, cfg.clients, out / "weights.csv")
     with open(out / "summary.json", "w", encoding="utf-8") as fh:

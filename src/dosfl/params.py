@@ -64,35 +64,32 @@ def pairwise_distances(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     1 - cos(a, b) lies in [0, 2]; a row whose norm is 0, including one whose
     squared entries underflow, is orthogonal to every other row (distance
     1.0), which keeps the matrix finite when an attack or initialization
-    produces an all-zero update.  Exactly equal non-zero rows are at
-    distance exactly 0.
+    produces an all-zero update.  Any other pair at Euclidean distance
+    exactly 0 is at cosine distance exactly 0.  Rows whose squared norms
+    could overflow are scaled by 2**-e for ``pdist`` and the Euclidean
+    distances by 2**e back, so finite rows give finite distances.
     """
     n = mat.shape[0]
     if n < 2:
         raise ConfigError(f"pairwise distances need at least 2 updates, got {n}")
-    condensed = pdist(mat, "euclidean")  # pairs i < j in row-major order
-    euc = squareform(condensed)
-    zero = np.flatnonzero(condensed == 0.0)
-    del condensed  # alive to the end, it would add to the peak memory of every call
-    cos = squareform(pdist(mat, "cosine"))  # NaN or arbitrary on zero-norm rows, reset below
-    # Equal rows are at Euclidean distance 0, but not every such pair is
-    # equal: squared differences below ~1e-160 underflow.  Compare each
-    # candidate row with the first row of its class of equal rows.  With no
-    # candidate, each row is its own class, and the diagonal is zeroed below.
-    if zero.size:
-        first = np.arange(n)
-        widths = np.arange(n - 1, 0, -1)
-        starts = np.cumsum(widths) - widths  # condensed index of each pair (i, i + 1)
-        rows = np.searchsorted(starts, zero, side="right") - 1
-        for i, j in zip(rows, zero - starts[rows] + rows + 1):
-            if first[i] == i and first[j] == j and np.array_equal(mat[i], mat[j]):
-                first[j] = i
-        cos[first[:, None] == first[None, :]] = 0.0
     # A squared norm is 0 exactly when the norm is, also when every square underflows.
-    zero_norm = np.einsum("ij,ij->i", mat, mat) == 0.0
+    sq_norms = np.einsum("ij,ij->i", mat, mat)
+    e = 0
+    if sq_norms.max() > np.finfo(np.float64).max / 8:  # below it, no squared difference overflows
+        e = int(np.frexp(np.abs(mat).max())[1])
+        mat = np.ldexp(mat, -e)  # entries below 1 in magnitude
+        sq_norms = np.einsum("ij,ij->i", mat, mat)
+    euc = squareform(pdist(mat, "euclidean"))
+    cos = squareform(pdist(mat, "cosine"))  # NaN or arbitrary on zero-norm rows, reset below
+    # Equal rows are at Euclidean distance 0, and so is a pair whose squared
+    # differences all underflow, an angle too small for pdist's cosine to hold.
+    cos[euc == 0.0] = 0.0
+    zero_norm = sq_norms == 0.0
     cos[zero_norm, :] = 1.0
     cos[:, zero_norm] = 1.0
     np.fill_diagonal(cos, 0.0)
+    if e:
+        np.ldexp(euc, e, out=euc)
     return euc, cos
 
 

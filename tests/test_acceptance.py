@@ -12,6 +12,9 @@ distances make honest clients look as outlying as the noise clients, while
 the per-dimension fusion in ``dosfl.copod`` keeps the honest mass near 0.94.
 """
 
+import multiprocessing
+import os
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 
 import numpy as np
@@ -52,10 +55,29 @@ def suite_config(aggregator: str, attack: str, seed: int, *, custom_plan=(), tri
     )
 
 
-def run_suite(aggregator: str, attack: str, **kw):
-    """One aggregator/attack combination across the reference seeds, each run
-    carrying the digest of its global models."""
-    return [golden.run(suite_config(aggregator, attack, seed, **kw)) for seed in SEEDS]
+def suite_configs(aggregator: str, attack: str, **kw) -> list[ExperimentConfig]:
+    """One aggregator/attack combination across the reference seeds."""
+    return [suite_config(aggregator, attack, seed, **kw) for seed in SEEDS]
+
+
+def run_all(configs: list[ExperimentConfig]) -> list[golden.Run]:
+    """``golden.run`` of each config, in order, on one worker process per
+    usable core; on one core, in this process."""
+    cores = len(os.sched_getaffinity(0))
+    if cores == 1:
+        return [golden.run(cfg) for cfg in configs]
+    # one BLAS thread per worker, so that an idle OpenBLAS thread does not
+    # spin on the core another worker runs on; forkserver workers inherit it
+    saved = os.environ.get("OPENBLAS_NUM_THREADS")
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
+    try:
+        with ProcessPoolExecutor(cores, mp_context=multiprocessing.get_context("forkserver")) as pool:
+            return list(pool.map(golden.run, configs))
+    finally:
+        if saved is None:
+            del os.environ["OPENBLAS_NUM_THREADS"]
+        else:
+            os.environ["OPENBLAS_NUM_THREADS"] = saved
 
 
 # the breakdown sweep's noise fractions besides 0.4, which is the noise_40 scenario
@@ -72,26 +94,29 @@ def final_acc(records_per_seed):
 
 
 def run_grid():
-    """Every rule/attack suite the tests below read, keyed by (rule, attack)."""
-    runs = {
-        ("dos", "no_attack"): run_suite("dos", "no_attack"),
-        ("fedavg", "no_attack"): run_suite("fedavg", "no_attack"),
-        ("dos", "noise_40"): run_suite("dos", "noise_40"),
-        ("fedavg", "noise_40"): run_suite("fedavg", "noise_40"),
-        ("dos", "noise_scaled_40"): run_suite("dos", "noise_scaled_40"),
-        ("trimmed_mean", "noise_scaled_40"): run_suite("trimmed_mean", "noise_scaled_40",
-                                                       trim=0.2),
-        ("fedavg", "noise_scaled_40"): run_suite("fedavg", "noise_scaled_40"),
-        ("dos", "crafted_40"): run_suite("dos", "crafted_40",
-                                         partition="label_skew", skew_alpha=2.0),
-        ("krum", "crafted_40"): run_suite("krum", "crafted_40",
-                                          partition="label_skew", skew_alpha=2.0),
+    """Every rule/attack suite the tests below read, keyed by (rule, attack),
+    each run carrying the digest of its global models."""
+    suites = {
+        ("dos", "no_attack"): suite_configs("dos", "no_attack"),
+        ("fedavg", "no_attack"): suite_configs("fedavg", "no_attack"),
+        ("dos", "noise_40"): suite_configs("dos", "noise_40"),
+        ("fedavg", "noise_40"): suite_configs("fedavg", "noise_40"),
+        ("dos", "noise_scaled_40"): suite_configs("dos", "noise_scaled_40"),
+        ("trimmed_mean", "noise_scaled_40"): suite_configs("trimmed_mean", "noise_scaled_40",
+                                                           trim=0.2),
+        ("fedavg", "noise_scaled_40"): suite_configs("fedavg", "noise_scaled_40"),
+        ("dos", "crafted_40"): suite_configs("dos", "crafted_40",
+                                             partition="label_skew", skew_alpha=2.0),
+        ("krum", "crafted_40"): suite_configs("krum", "crafted_40",
+                                              partition="label_skew", skew_alpha=2.0),
     }
     for frac in NOISE_FRACS:
-        runs[("dos", f"noise_frac_{frac}")] = run_suite("dos", "custom",
-                                                       custom_plan=noise_frac_plan(frac))
-    runs[("dos", "noise_frac_0.4")] = runs[("dos", "noise_40")]  # same plan
-    return runs
+        suites[("dos", f"noise_frac_{frac}")] = suite_configs("dos", "custom",
+                                                             custom_plan=noise_frac_plan(frac))
+    runs = iter(run_all([cfg for configs in suites.values() for cfg in configs]))
+    grid = {key: [next(runs) for _ in configs] for key, configs in suites.items()}
+    grid[("dos", "noise_frac_0.4")] = grid[("dos", "noise_40")]  # same plan
+    return grid
 
 
 @pytest.fixture(scope="module")

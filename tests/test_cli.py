@@ -290,10 +290,13 @@ def test_cmd_run_invalid_config_exits_2(tmp_path):
 
 
 def test_cmd_run_unrunnable_config_exits_2_before_output(tmp_path, capsys):
-    cfg = write_cfg(tmp_path, "data.partition = label_skew\ndata.alpha = 0\n")
-    assert main(["run", "--config", str(cfg)]) == 2
-    assert str(cfg) in capsys.readouterr().err
-    assert not (tmp_path / "out").exists()
+    # alpha 0 fails at construction; alpha 0.01 constructs, then leaves a
+    # label-skew shard empty when the run prepares its data
+    for alpha in ("0", "0.01"):
+        cfg = write_cfg(tmp_path, f"data.partition = label_skew\ndata.alpha = {alpha}\n")
+        assert main(["run", "--config", str(cfg)]) == 2
+        assert str(cfg) in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
 
 def test_cmd_run_missing_config_exits_2(tmp_path):

@@ -516,6 +516,16 @@ def test_overflowing_update_names_its_client():
             run_experiment(setup)
 
 
+def test_scaled_clients_near_overflow_do_not_end_the_run():
+    # DOS leaves four 10^4-scalers about 2% of the weight, so the global model
+    # grows ~240x a round; by round 76 their squared distances overflow
+    cfg = ExperimentConfig(attack="custom", train=TrainConfig(rounds=80),
+                           custom_plan=tuple((cid, "scale(factor=10000)") for cid in range(6, 10)))
+    records = run_experiment(cfg)
+    assert len(records) == 80
+    assert all(np.all(np.isfinite(r.weights)) for r in records)
+
+
 def test_setup_validation():
     with pytest.raises(ConfigError):
         small_setup(clients=1)

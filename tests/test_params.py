@@ -2,7 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from scipy.spatial.distance import pdist, squareform
 
+from dosfl.aggregators import aggregate_dos
 from dosfl.errors import ConfigError, DimensionError, NumericError
 from dosfl.params import (
     pairwise_distances,
@@ -117,6 +119,22 @@ def test_pairwise_matrix_invariants_random():
             assert np.all(np.diag(m) == 0.0)
         assert np.all(euclidean >= 0.0)
         assert np.all((cosine >= 0.0) & (cosine <= 2.0))
+
+
+def test_pairwise_distances_of_rows_near_overflow_are_finite():
+    # finite rows whose squared differences overflow: (2e154)**2 > 1.8e308
+    rng = np.random.default_rng(3)
+    mat = np.where(rng.random((6, 84)) < 0.5, -1e154, 1e154)
+    mat[1] = mat[0]
+    mat[2, :42] *= 0.5
+    euclidean, cosine = pairwise_distances(mat)
+    assert np.all(np.isfinite(euclidean)) and np.all(np.isfinite(cosine))
+    e = np.frexp(1e154)[1]
+    np.testing.assert_array_equal(euclidean, 2.0**e * squareform(pdist(mat / 2.0**e)))
+    np.testing.assert_array_equal(cosine, pairwise_distances(mat / 2.0**e)[1])
+    assert euclidean[0, 1] == 0.0 and cosine[0, 1] == 0.0
+    weights = aggregate_dos(mat).weights
+    assert np.all(np.isfinite(weights)) and weights.sum() == pytest.approx(1.0)
 
 
 def test_pairwise_needs_two_updates():

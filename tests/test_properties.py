@@ -189,10 +189,13 @@ def test_pairwise_distances_match_per_pair_oracle(m):
             assert abs(euclidean[i, j] - euc) <= 1e-12
             if np.array_equal(m[i], m[j]):
                 assert euclidean[i, j] == 0.0
-            if not np.any(m[i] * m[i]) or not np.any(m[j] * m[j]) or np.array_equal(m[i], m[j]):
+            zero_norm = not np.any(m[i] * m[i]) or not np.any(m[j] * m[j])
+            if zero_norm or np.array_equal(m[i], m[j]):
                 assert cosine[i, j] == cos  # zero-norm row or equal rows: exact
             else:
                 assert abs(cosine[i, j] - cos) <= 1e-12
+            if euclidean[i, j] == 0.0:
+                assert cosine[i, j] == (1.0 if zero_norm else 0.0)
 
 
 @PROPERTY
