@@ -17,6 +17,7 @@ import json
 import os
 import sys
 import time
+from contextlib import contextmanager
 from dataclasses import replace
 from pathlib import Path
 
@@ -106,13 +107,12 @@ def cmd_run(args) -> int:
     except ConfigError as exc:  # a config that built but cannot run, such as an empty shard
         raise ConfigError(f"{args.config}: {exc}") from exc
     runtime = time.perf_counter() - started
-    out = Path(cfg.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    write_metrics_csv(records, out / "metrics.csv")
-    write_weights_csv(records, cfg.clients, out / "weights.csv")
-    with open(out / "summary.json", "w", encoding="utf-8") as fh:
-        json.dump(build_summary(cfg, records, runtime), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    with _output_dir(cfg.output_dir) as out:
+        write_metrics_csv(records, out / "metrics.csv")
+        write_weights_csv(records, cfg.clients, out / "weights.csv")
+        with open(out / "summary.json", "w", encoding="utf-8") as fh:
+            json.dump(build_summary(cfg, records, runtime), fh, indent=2, sort_keys=True)
+            fh.write("\n")
     return 0
 
 
@@ -127,7 +127,7 @@ def cmd_compare(args) -> int:
                                      attack=scenario,
                                      custom_plan=cfg.custom_plan if scenario == "custom" else ()))
             for name in names for scenario in scenarios]
-    _write_grid(Path(cfg.output_dir) / "compare.csv", ("aggregator", "scenario"), runs)
+    _write_grid(cfg.output_dir, "compare.csv", ("aggregator", "scenario"), runs)
     return 0
 
 
@@ -140,7 +140,7 @@ def cmd_sweep(args) -> int:
     else:
         runs = [(args.param, str(n), replace(cfg, clients=n))
                 for n in _sweep_values(args.values, int, SWEEP_CLIENT_COUNTS)]
-    _write_grid(Path(cfg.output_dir) / "sweep.csv", ("sweep_param", "value"), runs)
+    _write_grid(cfg.output_dir, "sweep.csv", ("sweep_param", "value"), runs)
     return 0
 
 
@@ -199,15 +199,29 @@ def build_summary(cfg: ExperimentConfig, records: list[RoundRecord],
     }
 
 
-def _write_grid(path, labels: tuple[str, str], runs) -> None:
-    """Run each (label, label, config) in turn and write one row of macro AUC
-    averaged over the rounds and at the final round for each."""
+def _write_grid(output_dir: str, name: str, labels: tuple[str, str], runs) -> None:
+    """Run each (label, label, config) in turn and write ``output_dir/name``
+    with one row of macro AUC averaged over the rounds and at the final round
+    for each."""
     rows = []
     for first, second, cfg in runs:
         records = run_experiment(cfg)
         rows.append((first, second, _fmt(_avg_metric(records)), _fmt(_final_metric(records))))
-    path.parent.mkdir(parents=True, exist_ok=True)
-    _write_csv(path, labels + ("avg_metric", "final_metric"), rows)
+    with _output_dir(output_dir) as out:
+        _write_csv(out / name, labels + ("avg_metric", "final_metric"), rows)
+
+
+@contextmanager
+def _output_dir(path: str):
+    """Create ``path`` with its parents and yield it as a Path for the block
+    that writes the output files; an OSError from either becomes a
+    ConfigError that names the path."""
+    try:
+        out = Path(path)
+        out.mkdir(parents=True, exist_ok=True)
+        yield out
+    except OSError as exc:
+        raise ConfigError(f"cannot write to output_dir {path}: {exc}") from exc
 
 
 def _write_csv(path, header: tuple[str, ...], rows) -> None:

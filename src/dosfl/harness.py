@@ -10,13 +10,13 @@ The streams come from a vectorised ``SeedSequence`` table over blocks of
 rounds, bitwise equal to ``default_rng(SeedSequence([seed, tag, client,
 round]))``, with the oracle in ``tests/oracles.py``.
 
-Local SGD is one batched call per round: the clients' parameters are rows of
-an (n, P) matrix, and the clients whose current batch has the same size take
-their step together, with bitwise the arithmetic of a per-client loop.  Each
-``loss_and_grad`` call takes a consecutive run of such clients whose
-gradients fit in ``GRAD_BYTES``, into one (block, P) buffer allocated per
-call of :func:`local_train` and reused by every step, so training holds the
-(n, P) matrix plus bounded scratch.  A client whose row the attack plan
+Local SGD is one :func:`local_train` call per round: the clients' parameters
+are rows of an (n, P) matrix, and the clients whose current batch has the
+same size take their step together, with bitwise the arithmetic of a
+per-client loop.  Each ``loss_and_grad`` call takes a consecutive run of
+such clients whose gradients fit in ``GRAD_BYTES``, into one (block, P)
+buffer allocated per call of :func:`local_train` and reused by every step,
+so training holds the (n, P) matrix plus bounded scratch.  A client whose row the attack plan
 replaces with noise is not trained: its row holds the global model until the
 noise overwrites it.  The returned matrix is the round's one update
 matrix, owned as :mod:`dosfl.params` states, and is local to a per-round

@@ -3,12 +3,14 @@
 Two architectures: plain multinomial logistic regression and a one-hidden-
 layer ReLU perceptron.  Parameters live in a single flat float64 vector so
 aggregation rules never see layer structure; pack order is W1, b1, (W2, b2).
+The kind is read only by :class:`ModelSpec`, whose ``layer_shapes`` is the
+model's one description: every other function walks the (W, b) pairs that
+:func:`unpack` returns, with a ReLU between layers and none after the last.
 ``loss_and_grad`` takes a (k, P) stack of such vectors, one per client, with
-a batch per row, and applies the single-model op sequence along that leading
-axis; each row's gradient is bitwise the single-model one.  It writes the
-gradient into a caller's buffer when given one, so a training loop makes no
-(k, P) temporary per step.  ``predict_proba`` runs the same forward sequence
-on a stack of one.
+a batch per row, and writes each row's gradient, bitwise the single-model
+one, into a caller's (k, P) buffer, so a training loop makes no (k, P)
+temporary per step.  ``predict_proba`` runs the same forward loop on a stack
+of one.
 """
 
 from __future__ import annotations
@@ -75,83 +77,56 @@ def unpack(spec: ModelSpec, flat: np.ndarray) -> list[np.ndarray]:
 
 def predict_proba(spec: ModelSpec, flat: np.ndarray, features: np.ndarray) -> np.ndarray:
     """Class probabilities of one (P,) model on (b, q) features, as (b, c)."""
-    logits, _ = _forward(spec, flat[None], features[None])
-    return _softmax(logits[0])
+    logits = _forward(unpack(spec, flat[None]), features[None])[-1][0]
+    z = np.exp(logits - logits.max(axis=1, keepdims=True))
+    return z / z.sum(axis=1, keepdims=True)
 
 
 def loss_and_grad(spec: ModelSpec, flat: np.ndarray, features: np.ndarray,
-                  labels: np.ndarray,
-                  out: np.ndarray | None = None) -> tuple[np.ndarray | float, np.ndarray]:
+                  labels: np.ndarray, out: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Mean softmax cross-entropy per model and its flat gradient.
 
     ``flat`` is (k, P), ``features`` (k, b, q) and ``labels`` (k, b): k models,
-    each scored on its own batch of b samples.  Returns the (k,) losses and the
-    (k, P) gradients.  A single model may pass (P,), (b, q) and (b,) and gets
-    a float and a (P,) gradient back.  Every product is a per-model matmul
+    each scored on its own batch of b samples.  ``out``, a C-contiguous
+    float64 (k, P) array, receives each layer's gradient in its slice.
+    Returns the (k,) losses and ``out``.  Every product is a per-model matmul
     (``X @ W.transpose(0, 2, 1)``, never ``(W @ X^T)^T``), so row i is bitwise
     what the same op sequence gives on model i alone.
-
-    ``out``, a C-contiguous float64 array of the gradient's shape, receives
-    each layer's gradient in its slice and is returned as the gradient; the
-    values are bitwise those of the allocating call.
     """
-    if out is None:
-        out = np.empty(flat.shape)
-    elif out.shape != flat.shape or out.dtype != np.float64 or not out.flags.c_contiguous:
-        raise DimensionError(f"out must be a C-contiguous float64 array of shape {flat.shape}")
-    single = flat.ndim == 1
-    if single:
-        flat, features, labels = flat[None], features[None], labels[None]
-    grads = unpack(spec, out.reshape(flat.shape))  # layer views of the gradient rows
-    logits, hidden = _forward(spec, flat, features)
-    loss, probs = _ce_loss(logits, labels)
-    delta = _output_delta(probs, labels)
-    if spec.kind == "logistic":
-        np.matmul(delta.transpose(0, 2, 1), features, out=grads[0])
-        delta.sum(axis=1, out=grads[1])
-    else:
-        w2 = unpack(spec, flat)[2]
-        d_hidden = (delta @ w2) * (hidden > 0.0)  # > 0 exactly where the ReLU's input was
-        np.matmul(d_hidden.transpose(0, 2, 1), features, out=grads[0])
-        d_hidden.sum(axis=1, out=grads[1])
-        np.matmul(delta.transpose(0, 2, 1), hidden, out=grads[2])
-        delta.sum(axis=1, out=grads[3])
-    if single:
-        return float(loss[0]), out
+    if (flat.ndim != 2 or out.shape != flat.shape or out.dtype != np.float64
+            or not out.flags.c_contiguous):
+        raise DimensionError(f"flat must be (k, P) and out a C-contiguous float64 array "
+                             f"of its shape, got {flat.shape} and {out.shape}")
+    layers, grads = unpack(spec, flat), unpack(spec, out)
+    inputs = _forward(layers, features)
+    loss, delta = _loss_head(inputs.pop(), labels)
+    for i in reversed(range(len(inputs))):
+        np.matmul(delta.transpose(0, 2, 1), inputs[i], out=grads[2 * i])
+        delta.sum(axis=1, out=grads[2 * i + 1])
+        if i:  # back through the ReLU: its output is > 0 exactly where its input was
+            delta = (delta @ layers[2 * i]) * (inputs[i] > 0.0)
     return loss, out
 
 
-def _forward(spec: ModelSpec, flat: np.ndarray,
-             features: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
-    """Logits (k, b, c) of a (k, P) stack on (k, b, q) features, one batch per
-    model, plus mlp1's hidden activations (k, b, h), or None for logistic."""
-    if spec.kind == "logistic":
-        w, b = unpack(spec, flat)
-        return features @ w.transpose(0, 2, 1) + b[:, None], None
-    w1, b1, w2, b2 = unpack(spec, flat)
-    hidden = np.maximum(features @ w1.transpose(0, 2, 1) + b1[:, None], 0.0)
-    return hidden @ w2.transpose(0, 2, 1) + b2[:, None], hidden
+def _forward(layers: list[np.ndarray], features: np.ndarray) -> list[np.ndarray]:
+    """Each layer's input, then the logits (k, b, c), of the layer views of a
+    (k, P) stack on (k, b, q) features, one batch per model."""
+    outputs = [features]
+    for i in range(0, len(layers), 2):
+        z = outputs[-1] @ layers[i].transpose(0, 2, 1) + layers[i + 1][:, None]
+        outputs.append(z if i + 2 == len(layers) else np.maximum(z, 0.0))
+    return outputs
 
 
-def _output_delta(probs: np.ndarray, labels: np.ndarray) -> np.ndarray:
-    """d(mean loss)/d(logits): (probs - onehot) / batch size, in place on ``probs``."""
+def _loss_head(logits: np.ndarray, labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per-model mean cross-entropy via log-softmax (no clipping), and its
+    derivative (probs - onehot) / batch size with respect to the (k, b, c)
+    logits; ``labels`` is (k, b)."""
     k, m = labels.shape
-    probs[np.arange(k)[:, None], np.arange(m), labels] -= 1.0
-    probs /= m
-    return probs
-
-
-def _ce_loss(logits: np.ndarray, labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per-model mean cross-entropy via log-softmax (no clipping) plus the
-    probabilities; ``logits`` is (k, b, c) and ``labels`` (k, b)."""
-    k, m = labels.shape
+    pick = (np.arange(k)[:, None], np.arange(m), labels)
     shifted = logits - logits.max(axis=2, keepdims=True)
-    log_norm = np.log(np.exp(shifted).sum(axis=2, keepdims=True))
-    log_probs = shifted - log_norm
-    loss = -log_probs[np.arange(k)[:, None], np.arange(m), labels].mean(axis=1)
-    return loss, np.exp(log_probs)
-
-
-def _softmax(logits: np.ndarray) -> np.ndarray:
-    z = np.exp(logits - logits.max(axis=1, keepdims=True))
-    return z / z.sum(axis=1, keepdims=True)
+    log_probs = shifted - np.log(np.exp(shifted).sum(axis=2, keepdims=True))
+    delta = np.exp(log_probs)
+    delta[pick] -= 1.0
+    delta /= m
+    return -log_probs[pick].mean(axis=1), delta

@@ -207,12 +207,31 @@ def reference_local_train(spec, params, data, cfg, rng):
     return theta
 
 
-def _reference_grad(spec, flat, features, labels):
+def reference_predict_proba(spec, flat, features):
+    """Class probabilities of one (P,) model on (b, q) features, with the
+    layer products written out in 2-D numpy and a max-shifted softmax."""
+    layers = _reference_layers(spec, flat)
+    if spec.kind == "logistic":
+        w, b = layers
+        logits = features @ w.T + b
+    else:
+        w1, b1, w2, b2 = layers
+        logits = np.maximum(features @ w1.T + b1, 0.0) @ w2.T + b2
+    z = np.exp(logits - logits.max(axis=1, keepdims=True))
+    return z / z.sum(axis=1, keepdims=True)
+
+
+def _reference_layers(spec, flat):
     layers, at = [], 0
     for shape in spec.layer_shapes():
         size = int(np.prod(shape))
         layers.append(flat[at:at + size].reshape(shape))
         at += size
+    return layers
+
+
+def _reference_grad(spec, flat, features, labels):
+    layers = _reference_layers(spec, flat)
     m = features.shape[0]
 
     def output_delta(logits):

@@ -288,14 +288,19 @@ def test_property_suite(tmp_path):
     feats = rng.standard_normal((20, 4))
     labels = rng.integers(0, 3, 20)
     params = rng.standard_normal(spec.param_count) * 0.5
-    _, grad = loss_and_grad(spec, params, feats, labels)
+
+    def one_model(p):  # the loss and gradient of one model, as a stack of one
+        loss, g = loss_and_grad(spec, p[None], feats[None], labels[None],
+                                out=np.empty((1, p.size)))
+        return loss[0], g[0]
+
+    _, grad = one_model(params)
     worst = 0.0
     for j in range(params.size):
         hi, lo = params.copy(), params.copy()
         hi[j] += 1e-5
         lo[j] -= 1e-5
-        fd = (loss_and_grad(spec, hi, feats, labels)[0]
-              - loss_and_grad(spec, lo, feats, labels)[0]) / 2e-5
+        fd = (one_model(hi)[0] - one_model(lo)[0]) / 2e-5
         worst = max(worst, abs(fd - grad[j]) / max(abs(fd), abs(grad[j]), 1e-3))
     ok &= worst < 1e-4
 

@@ -1,5 +1,8 @@
 import json
+import os
 import re
+import subprocess
+import sys
 from dataclasses import replace
 from pathlib import Path
 
@@ -297,6 +300,27 @@ def test_cmd_run_unrunnable_config_exits_2_before_output(tmp_path, capsys):
         assert main(["run", "--config", str(cfg)]) == 2
         assert str(cfg) in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+
+def _dosfl(*argv):
+    """Run the command line in a child process, so a traceback would reach stderr."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    return subprocess.run([sys.executable, "-m", "dosfl.cli", *argv], env=env,
+                          capture_output=True, text=True)
+
+
+@pytest.mark.parametrize("command,output_dir", [
+    (["run"], "blocker"),  # an existing file
+    (["compare", "--aggregators", "fedavg"], "blocker/sub"),  # below a file
+], ids=["run", "compare"])
+def test_output_dir_that_cannot_be_made_exits_2(tmp_path, command, output_dir):
+    (tmp_path / "blocker").write_text("")
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(FAST + f"output_dir = {tmp_path / output_dir}\n")
+    proc = _dosfl(command[0], "--config", str(cfg), *command[1:])
+    assert proc.returncode == 2
+    assert str(tmp_path / output_dir) in proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 def test_cmd_run_missing_config_exits_2(tmp_path):

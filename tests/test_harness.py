@@ -25,7 +25,8 @@ from dosfl.harness import (
 )
 from dosfl.models import ModelSpec, init_params, loss_and_grad, predict_proba
 
-from .oracles import mann_whitney_auc_oracle, reference_local_train, reference_seed_stream
+from .oracles import mann_whitney_auc_oracle, reference_local_train, reference_predict_proba, \
+    reference_seed_stream
 
 
 def rng_of(seed):
@@ -132,10 +133,10 @@ def test_local_train_reduces_loss():
     spec = ModelSpec(kind="logistic", input_dim=6, class_count=2)
     ds = generate_synthetic(2, 6, 40, 6.0, rng_of(18))
     params = init_params(spec, rng_of(19))
-    before, _ = loss_and_grad(spec, params, ds.features, ds.labels)
+    before, _ = _one_model_loss_and_grad(spec, params, ds.features, ds.labels)
     cfg = TrainConfig(learning_rate=0.01, local_steps=1, batch_size=16, rounds=1)
     after_params = local_train(spec, params, [ds], cfg, [rng_of(20)])[0]
-    after, _ = loss_and_grad(spec, after_params, ds.features, ds.labels)
+    after, _ = _one_model_loss_and_grad(spec, after_params, ds.features, ds.labels)
     assert after <= before
 
 
@@ -185,19 +186,18 @@ def test_loss_and_grad_writes_into_out(kind):
     flat = rng.standard_normal((3, spec.param_count))
     features = rng.standard_normal((3, 7, 5))  # a different batch per model
     labels = rng.integers(0, 3, size=(3, 7))
-    loss, grad = loss_and_grad(spec, flat, features, labels)
+    loss, grad = loss_and_grad(spec, flat, features, labels, out=np.zeros_like(flat))
     buf = np.full_like(flat, np.nan)
     loss_out, got = loss_and_grad(spec, flat, features, labels, out=buf)
     assert got is buf
     np.testing.assert_array_equal(loss_out, loss)
     np.testing.assert_array_equal(buf, grad)
 
-    one = np.full(spec.param_count, np.nan)
-    loss_one, got = loss_and_grad(spec, flat[1], features[1], labels[1], out=one)
+    one = np.full((1, spec.param_count), np.nan)
+    loss_one, got = loss_and_grad(spec, flat[1:2], features[1:2], labels[1:2], out=one)
     assert got is one
-    assert loss_one == loss[1]
-    np.testing.assert_array_equal(one, grad[1])  # bitwise the row of the stack
-    np.testing.assert_array_equal(one, loss_and_grad(spec, flat[1], features[1], labels[1])[1])
+    assert loss_one[0] == loss[1]
+    np.testing.assert_array_equal(one[0], grad[1])  # bitwise the row of the stack
 
 
 def test_loss_and_grad_rejects_out_it_cannot_fill():
@@ -208,6 +208,8 @@ def test_loss_and_grad_rejects_out_it_cannot_fill():
                 np.empty((spec.param_count, 2)).T):
         with pytest.raises(DimensionError, match="out"):
             loss_and_grad(spec, flat, features, labels, out=out)
+    with pytest.raises(DimensionError, match=r"\(k, P\)"):  # one model is a stack of one
+        loss_and_grad(spec, flat[0], features[0], labels[0], out=np.empty(spec.param_count))
 
 
 def test_local_train_peak_memory_is_two_parameter_matrices():
@@ -283,16 +285,23 @@ def test_local_train_rejects_wrong_param_count():
         local_train(spec, params[:-1], shards, cfg, [rng_of(0), rng_of(1)])
 
 
+def _one_model_loss_and_grad(spec, params, feats, labels):
+    """The loss and (P,) gradient of one (P,) model, through a stack of one."""
+    loss, grad = loss_and_grad(spec, params[None], feats[None], labels[None],
+                               out=np.empty((1, params.size)))
+    return loss[0], grad[0]
+
+
 def _fd_max_rel_err(spec, params, feats, labels, step=1e-5):
-    _, grad = loss_and_grad(spec, params, feats, labels)
+    _, grad = _one_model_loss_and_grad(spec, params, feats, labels)
     worst = 0.0
     for j in range(params.size):
         up = params.copy()
         up[j] += step
         down = params.copy()
         down[j] -= step
-        lu, _ = loss_and_grad(spec, up, feats, labels)
-        ld, _ = loss_and_grad(spec, down, feats, labels)
+        lu, _ = _one_model_loss_and_grad(spec, up, feats, labels)
+        ld, _ = _one_model_loss_and_grad(spec, down, feats, labels)
         fd = (lu - ld) / (2 * step)
         rel = abs(fd - grad[j]) / max(abs(fd), abs(grad[j]), 1e-3)
         worst = max(worst, rel)
@@ -322,6 +331,18 @@ def test_param_count_and_unpack_roundtrip():
     assert spec.param_count == 4 * 7 + 4 + 3 * 4 + 3
     params = init_params(spec, rng_of(22))
     assert params.size == spec.param_count
+
+
+@pytest.mark.parametrize("kind,input_dim,hidden_dim",
+                         [("logistic", 20, 32), ("mlp1", 20, 32), ("mlp1", 100, 1000)])
+def test_predict_proba_matches_reference_bytes(kind, input_dim, hidden_dim):
+    # the golden digests see probabilities only through ranks and accuracy;
+    # the last shape is the wide_model workload's
+    spec = ModelSpec(kind=kind, input_dim=input_dim, class_count=4, hidden_dim=hidden_dim)
+    params = init_params(spec, rng_of(23))
+    feats = rng_of(24).standard_normal((50, input_dim)) * 3.0
+    got = predict_proba(spec, params, feats)
+    assert got.tobytes() == reference_predict_proba(spec, params, feats).tobytes()
 
 
 # ---------------------------------------------------------------------------
