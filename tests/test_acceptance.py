@@ -12,10 +12,14 @@ distances make honest clients look as outlying as the noise clients, while
 the per-dimension fusion in ``dosfl.copod`` keeps the honest mass near 0.94.
 """
 
+import json
 import multiprocessing
 import os
+import subprocess
+import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -216,6 +220,22 @@ def test_outputs_match_golden_digests(grid):
         report(not names, f"{len(got[key]) - len(names)} of {len(got[key])} runs match their "
                           f"golden {key}; moved: {names}")
     assert not any(moved.values())
+
+
+def test_wide_dos_crafted_digests_hold_on_one_blas_thread():
+    # the golden file is made at the machine's BLAS thread count; DOS at the
+    # wide_model width must give the same bits on one thread
+    name = "wide_dos_crafted"
+    code = ("import json; from tests import golden; from worker import records_digest; "
+            f"r = golden.run(golden.SHORT_RUNS[{name!r}]); "
+            "print(json.dumps([records_digest(r), r.theta_digest]))")
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "PYTHONPATH": os.pathsep.join(sys.path)}
+    proc = subprocess.run([sys.executable, "-c", code], cwd=Path(__file__).resolve().parent.parent,
+                          env=env, capture_output=True, text=True, check=True)
+    pinned = golden.load()
+    want = [pinned[key][f"short/{name}"] for key in golden.MAPS]
+    assert report(json.loads(proc.stdout) == want,
+                  f"short/{name} on one BLAS thread matches both golden digests")
 
 
 def test_copod_matches_bruteforce_oracle():
