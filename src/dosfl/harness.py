@@ -16,11 +16,11 @@ same size take their step together, with bitwise the arithmetic of a
 per-client loop.  Each ``loss_and_grad`` call takes a consecutive run of
 such clients whose gradients fit in ``GRAD_BYTES``, into one (block, P)
 buffer allocated per call of :func:`local_train` and reused by every step,
-so training holds the (n, P) matrix plus bounded scratch.  A client whose row the attack plan
-replaces with noise is not trained: its row holds the global model until the
-noise overwrites it.  The returned matrix is the round's one update
-matrix, owned as :mod:`dosfl.params` states, and is local to a per-round
-helper.
+so training holds the (n, P) matrix plus bounded scratch.  A client whose
+row the attack plan replaces with noise is not trained: its row holds the
+global model until the noise overwrites it.  The returned matrix is the
+round's one update matrix, owned as :mod:`dosfl.params` states, and is local
+to a per-round helper.
 Evaluation reads every one-vs-rest and pairwise Mann-Whitney U from one
 stable argsort per probability column, exactly, as integer counts.
 """

@@ -302,13 +302,6 @@ def test_cmd_run_unrunnable_config_exits_2_before_output(tmp_path, capsys):
         assert not (tmp_path / "out").exists()
 
 
-def _dosfl(*argv):
-    """Run the command line in a child process, so a traceback would reach stderr."""
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
-    return subprocess.run([sys.executable, "-m", "dosfl.cli", *argv], env=env,
-                          capture_output=True, text=True)
-
-
 @pytest.mark.parametrize("command,output_dir", [
     (["run"], "blocker"),  # an existing file
     (["compare", "--aggregators", "fedavg"], "blocker/sub"),  # below a file
@@ -317,7 +310,10 @@ def test_output_dir_that_cannot_be_made_exits_2(tmp_path, command, output_dir):
     (tmp_path / "blocker").write_text("")
     cfg = tmp_path / "exp.cfg"
     cfg.write_text(FAST + f"output_dir = {tmp_path / output_dir}\n")
-    proc = _dosfl(command[0], "--config", str(cfg), *command[1:])
+    # a child process, so that a traceback would reach its stderr
+    proc = subprocess.run([sys.executable, "-m", "dosfl.cli", command[0], "--config", str(cfg),
+                           *command[1:]], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
     assert proc.returncode == 2
     assert str(tmp_path / output_dir) in proc.stderr
     assert "Traceback" not in proc.stderr
