@@ -96,16 +96,19 @@ def _load_config(args) -> ExperimentConfig:
         cfg = replace(cfg, seed=seed)
     if args.seed is not None:
         cfg = replace(cfg, seed=args.seed)
+    # nothing is created before a run succeeds, but a path that cannot be made fails now
+    out = Path(cfg.output_dir)
+    ancestor = next(p for p in (out, *out.parents) if os.path.exists(p))
+    if not (ancestor.is_dir() and os.access(ancestor, os.W_OK | os.X_OK)):
+        raise ConfigError(f"cannot write to output_dir {cfg.output_dir}: "
+                          f"{ancestor} is not a writable directory")
     return cfg
 
 
 def cmd_run(args) -> int:
     cfg = _load_config(args)
     started = time.perf_counter()
-    try:
-        records = run_experiment(cfg)
-    except ConfigError as exc:  # a config that built but cannot run, such as an empty shard
-        raise ConfigError(f"{args.config}: {exc}") from exc
+    records = _run(args.config, cfg)
     runtime = time.perf_counter() - started
     with _output_dir(cfg.output_dir) as out:
         write_metrics_csv(records, out / "metrics.csv")
@@ -127,7 +130,7 @@ def cmd_compare(args) -> int:
                                      attack=scenario,
                                      custom_plan=cfg.custom_plan if scenario == "custom" else ()))
             for name in names for scenario in scenarios]
-    _write_grid(cfg.output_dir, "compare.csv", ("aggregator", "scenario"), runs)
+    _write_grid(args.config, cfg.output_dir, "compare.csv", ("aggregator", "scenario"), runs)
     return 0
 
 
@@ -140,7 +143,7 @@ def cmd_sweep(args) -> int:
     else:
         runs = [(args.param, str(n), replace(cfg, clients=n))
                 for n in _sweep_values(args.values, int, SWEEP_CLIENT_COUNTS)]
-    _write_grid(cfg.output_dir, "sweep.csv", ("sweep_param", "value"), runs)
+    _write_grid(args.config, cfg.output_dir, "sweep.csv", ("sweep_param", "value"), runs)
     return 0
 
 
@@ -199,13 +202,22 @@ def build_summary(cfg: ExperimentConfig, records: list[RoundRecord],
     }
 
 
-def _write_grid(output_dir: str, name: str, labels: tuple[str, str], runs) -> None:
+def _run(config_path: str, cfg: ExperimentConfig) -> list[RoundRecord]:
+    """``run_experiment(cfg)``, naming the config file in a ConfigError it raises."""
+    try:
+        return run_experiment(cfg)
+    except ConfigError as exc:  # a config that built but cannot run, such as an empty shard
+        raise ConfigError(f"{config_path}: {exc}") from exc
+
+
+def _write_grid(config_path: str, output_dir: str, name: str, labels: tuple[str, str],
+                runs) -> None:
     """Run each (label, label, config) in turn and write ``output_dir/name``
     with one row of macro AUC averaged over the rounds and at the final round
     for each."""
     rows = []
     for first, second, cfg in runs:
-        records = run_experiment(cfg)
+        records = _run(config_path, cfg)
         rows.append((first, second, _fmt(_avg_metric(records)), _fmt(_final_metric(records))))
     with _output_dir(output_dir) as out:
         _write_csv(out / name, labels + ("avg_metric", "final_metric"), rows)

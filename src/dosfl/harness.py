@@ -19,8 +19,8 @@ buffer allocated per call of :func:`local_train` and reused by every step,
 so training holds the (n, P) matrix plus bounded scratch.  A client whose
 row the attack plan replaces with noise is not trained: its row holds the
 global model until the noise overwrites it.  The returned matrix is the
-round's one update matrix, owned as :mod:`dosfl.params` states, and is local
-to a per-round helper.
+round's one update matrix, owned as :mod:`dosfl.params` states, and the
+loop deletes it before the next round trains.
 Evaluation reads every one-vs-rest and pairwise Mann-Whitney U from one
 stable argsort per probability column, exactly, as integer counts.
 """
@@ -35,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
 
-from .aggregators import AggregationResult, run_rule
+from .aggregators import run_rule
 from .attacks import apply_attack_plan, attack_label_flip
 from .config import ExperimentConfig, TrainConfig
 from .copod import tie_runs
@@ -347,7 +347,13 @@ def run_experiment(cfg: ExperimentConfig) -> list[RoundRecord]:
     for t, (train_rng, attack_rng) in enumerate(zip(train_streams, attack_streams,
                                                     strict=True)):
         try:
-            result = _aggregate_round(cfg, theta, shards, trained, train_rng, attack_rng)
+            rngs: list[np.random.Generator | None] = [None] * cfg.clients
+            for cid in trained:
+                rngs[cid] = train_rng(cid)
+            mat = local_train(cfg.model, theta, shards, cfg.train, rngs)
+            mat = apply_attack_plan(cfg.plan, mat, theta, attack_rng)
+            result = run_rule(cfg.aggregator, mat)
+            del mat  # the round's one matrix must be gone before the next round trains
             theta = result.new_global
             metrics = evaluate(cfg.model, theta, test)
         except Exception as exc:
@@ -357,19 +363,3 @@ def run_experiment(cfg: ExperimentConfig) -> list[RoundRecord]:
                                    metrics=metrics, scores=result.scores))
     return records
 
-
-def _aggregate_round(cfg: ExperimentConfig, theta: np.ndarray, shards: list[LabeledDataset],
-                     trained: list[int], train_rng: Callable[[int], np.random.Generator],
-                     attack_rng: Callable[[int], np.random.Generator]) -> AggregationResult:
-    """Train the ``trained`` clients, attack and aggregate one round on one
-    (n, P) matrix.
-
-    The matrix is local to this call, so it is freed when the call returns,
-    before the next round's training allocates its own.
-    """
-    rngs: list[np.random.Generator | None] = [None] * cfg.clients
-    for cid in trained:
-        rngs[cid] = train_rng(cid)
-    mat = local_train(cfg.model, theta, shards, cfg.train, rngs)
-    mat = apply_attack_plan(cfg.plan, mat, theta, attack_rng)
-    return run_rule(cfg.aggregator, mat)

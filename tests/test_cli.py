@@ -295,11 +295,12 @@ def test_cmd_run_invalid_config_exits_2(tmp_path):
 def test_cmd_run_unrunnable_config_exits_2_before_output(tmp_path, capsys):
     # alpha 0 fails at construction; alpha 0.01 constructs, then leaves a
     # label-skew shard empty when the run prepares its data
-    for alpha in ("0", "0.01"):
-        cfg = write_cfg(tmp_path, f"data.partition = label_skew\ndata.alpha = {alpha}\n")
-        assert main(["run", "--config", str(cfg)]) == 2
-        assert str(cfg) in capsys.readouterr().err
-        assert not (tmp_path / "out").exists()
+    for command in (["run"], ["compare", "--aggregators", "fedavg"]):
+        for alpha in ("0", "0.01"):
+            cfg = write_cfg(tmp_path, f"data.partition = label_skew\ndata.alpha = {alpha}\n")
+            assert main([command[0], "--config", str(cfg), *command[1:]]) == 2
+            assert str(cfg) in capsys.readouterr().err, (command, alpha)
+            assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("command,output_dir", [
@@ -317,6 +318,23 @@ def test_output_dir_that_cannot_be_made_exits_2(tmp_path, command, output_dir):
     assert proc.returncode == 2
     assert str(tmp_path / output_dir) in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("command,output_dir", [
+    (["run"], "blocker"),  # an existing file
+    (["compare", "--aggregators", "fedavg,median", "--scenarios", "no_attack,noise_40"],
+     "blocker/sub"),  # below a file
+], ids=["run", "compare"])
+def test_output_dir_that_cannot_be_made_exits_2_before_any_run(tmp_path, capsys, monkeypatch,
+                                                              command, output_dir):
+    (tmp_path / "blocker").write_text("")
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(FAST + f"output_dir = {tmp_path / output_dir}\n")
+    runs = []
+    monkeypatch.setattr(cli, "run_experiment", lambda setup: runs.append(setup) or [])
+    assert main([command[0], "--config", str(cfg), *command[1:]]) == 2
+    assert str(tmp_path / output_dir) in capsys.readouterr().err
+    assert runs == []
 
 
 def test_cmd_run_missing_config_exits_2(tmp_path):

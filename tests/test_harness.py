@@ -572,9 +572,8 @@ def test_seed_stream_independence():
 
 def test_run_experiment_hands_out_seed_sequence_streams(monkeypatch):
     # The golden digests hash rank statistics only, so they cannot show that
-    # the streams are unchanged; this compares every generator at hand-over.
-    setup = small_setup(clients=6, partition="label_skew",
-                        custom_plan=((1, "noise(sigma=1.0)"), (3, "crafted"), (4, "crafted")))
+    # the streams are unchanged; this compares every generator at hand-over,
+    # within the first block of rounds and across its boundary.
     handed = []  # (purpose, client, round, bit generator state)
     rounds = []  # one entry per local_train call
     train, apply_plan = harness.local_train, harness.apply_attack_plan
@@ -596,14 +595,21 @@ def test_run_experiment_hands_out_seed_sequence_streams(monkeypatch):
 
     monkeypatch.setattr(harness, "local_train", recording_train)
     monkeypatch.setattr(harness, "apply_attack_plan", recording_apply)
-    run_experiment(setup)
-    # the noise client 1 is not trained, so it gets no train stream
-    assert sorted(key for *key, _ in handed) == sorted(
-        [["train", cid, t] for cid in (0, 2, 3, 4, 5) for t in range(3)]
-        + [["attack", cid, t] for cid in (1, 3, 4) for t in range(3)])
-    for purpose, cid, t, state in handed:
-        ref = reference_seed_stream(setup.seed, harness._purpose_tag(purpose), cid, t)
-        assert state == ref.bit_generator.state, (purpose, cid, t)
+    for n_rounds in (3, harness._BLOCK_ROUNDS + 2):
+        handed.clear()
+        rounds.clear()
+        setup = small_setup(clients=6, partition="label_skew",
+                            train=TrainConfig(batch_size=8, rounds=n_rounds),
+                            custom_plan=((1, "noise(sigma=1.0)"), (3, "crafted"),
+                                         (4, "crafted")))
+        run_experiment(setup)
+        # the noise client 1 is not trained, so it gets no train stream
+        assert sorted(key for *key, _ in handed) == sorted(
+            [["train", cid, t] for cid in (0, 2, 3, 4, 5) for t in range(n_rounds)]
+            + [["attack", cid, t] for cid in (1, 3, 4) for t in range(n_rounds)])
+        for purpose, cid, t, state in handed:
+            ref = reference_seed_stream(setup.seed, harness._purpose_tag(purpose), cid, t)
+            assert state == ref.bit_generator.state, (purpose, cid, t)
 
 
 @pytest.mark.parametrize("kind", AGGREGATOR_KINDS)
