@@ -6,13 +6,16 @@ AggregationResult whose weight vector (when one exists) follows the rows.
 As :mod:`dosfl.params` states, a rule returns no view of that matrix: Krum
 copies its selected row.
 Median and trimmed mean have no faithful per-client attribution, so their
-result carries ``weights=None`` rather than a fabricated vector.  They sort
-the matrix one column block at a time and keep only the rows they average,
-so beside the matrix they hold its kept rows and one sorted block.
+result carries ``weights=None`` rather than a fabricated vector.  They order
+the matrix one column block at a time: where the matrix is wide beside its
+rows, by a merge-exchange sorting network whose kept rows are summed into
+the result, so beside the matrix they hold one (n + 1)-row block; elsewhere
+by ``np.sort`` into the kept rows, so they hold those and one sorted block.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -97,29 +100,95 @@ def aggregate_fedavg(mat: np.ndarray) -> AggregationResult:
     return AggregationResult(new_global=weighted_average(mat, w), weights=w)
 
 
-# Bytes of the update matrix one np.sort call sorts: median and trimmed mean
-# sort column blocks of about this size and keep only their kept rows, so no
-# sorted copy of the whole matrix exists.  At n = 10, d = 105004, blocks of
-# 128 KiB to 1 MiB took the time of one full sort (7.7-8.3 ms); 256 KiB keeps
-# the block small beside the kept rows.
-SORT_BYTES = 1 << 18
+# Bytes of one column block of the update matrix: median and trimmed mean
+# order the matrix one column block at a time and keep only what they average,
+# so no sorted copy of the whole matrix exists.  At n = 10, d = 105004 the
+# network below took 3.2, 3.0 and 3.5 ms with blocks of 512 KiB, 1 MiB and
+# 2 MiB (p50 of 40 interleaved calls, 2 cores); np.sort takes the time of one
+# full sort with blocks of 128 KiB to 1 MiB.
+SORT_BYTES = 1 << 20
+# The network makes two ufunc calls per comparator per block, np.sort one call
+# per block, so the network pays only where its calls are few beside the
+# columns.  Network time over np.sort time, by columns per network call
+# (medians of 8-41 calls, 2 cores):
+#   >= 32: 0.13-0.63 (n = 2-16, d = 84-105004; 10 x 105004: 2.9 against 8.5 ms)
+#    8-32: 0.56-1.14 (n = 3-32)
+#     < 8: 1.3-57 (10 x 84: 0.058 against 0.017 ms; 40 x 105004: 34 against
+#          19 ms; 200 x 84: 4.5 against 0.078 ms)
+NETWORK_COLUMNS_PER_CALL = 32
+
+
+@functools.cache
+def _merge_exchange(n: int) -> tuple[tuple[int, int], ...]:
+    """The comparators (i, j), i < j, of Batcher's merge exchange on n keys,
+    in the order they run (Knuth, TAOCP vol. 3, 5.2.2, Algorithm M, 0-based)."""
+    pairs: list[tuple[int, int]] = []
+    t = (n - 1).bit_length()  # the least t with 2**t >= n
+    p = 1 << (t - 1) if n > 1 else 0
+    while p:
+        q, r, d = 1 << (t - 1), 0, p
+        while True:
+            pairs += [(i, i + d) for i in range(n - d) if i & p == r]
+            if q == p:
+                break
+            d, q, r = q - p, q // 2, p
+        p //= 2
+    return tuple(pairs)
 
 
 def _sorted_slice_mean(mat: np.ndarray, k: int) -> np.ndarray:
     """Per column, the mean left after dropping the k smallest and k largest values.
 
-    Column blocks of about ``SORT_BYTES`` are sorted one at a time into one
-    C-contiguous (n - 2k, d) array of the kept rows, which is averaged by one
-    ``mean(axis=0)``: bitwise ``np.sort(mat, axis=0)[k:n-k].mean(axis=0)``.
-    A mean per block would not be, since a one-column block's mean takes
-    numpy's pairwise summation.
+    Bitwise ``np.sort(mat, axis=0)[k:n-k].mean(axis=0)`` for the finite
+    entries ``params.stack_updates`` admits.  Column blocks of about
+    ``SORT_BYTES`` are ordered one at a time: by :func:`_network_slice_mean`
+    where each of its ufunc calls covers at least ``NETWORK_COLUMNS_PER_CALL``
+    columns, and otherwise by ``np.sort`` into one C-contiguous (n - 2k, d)
+    array of the kept rows, averaged by one ``mean(axis=0)``.  A mean per
+    block would not be bitwise, since a one-column block's mean takes numpy's
+    pairwise summation.
     """
     n, d = mat.shape
+    width = max(1, SORT_BYTES // ((n + 1) * mat.itemsize))
+    calls = 2 * len(_merge_exchange(n)) * -(-d // width)
+    if calls * NETWORK_COLUMNS_PER_CALL <= d:
+        return _network_slice_mean(mat, k)
     kept = np.empty((n - 2 * k, d))
-    width = max(1, SORT_BYTES // (n * mat.itemsize))
     for at in range(0, d, width):
         kept[:, at:at + width] = np.sort(mat[:, at:at + width], axis=0)[k:n - k]
     return kept.mean(axis=0)
+
+
+def _network_slice_mean(mat: np.ndarray, k: int) -> np.ndarray:
+    """:func:`_sorted_slice_mean` by the merge-exchange network.
+
+    Each column block is copied into one (n + 1, w) buffer whose last row is
+    spare.  A comparator (a, b) writes the minimum of rows a and b into the
+    spare row and their maximum over row b, then the spare row becomes row a
+    and row a's memory the spare: two ufunc calls, no copy.  The kept rows
+    are summed in order from +0.0, as numpy's mean sums a C-contiguous
+    matrix down its rows, and divided once, so the result is bitwise the
+    sort's; a tie of -0.0 and 0.0 may keep either zero, but a sum from +0.0
+    does not see the sign of a zero.
+    """
+    n, d = mat.shape
+    width = max(1, SORT_BYTES // ((n + 1) * mat.itemsize))
+    buf = np.empty((n + 1, min(width, d)))
+    out = np.empty(d)
+    for at in range(0, d, width):
+        block = buf[:, :min(width, d - at)]
+        block[:n] = mat[:, at:at + width]
+        *rows, spare = block
+        for a, b in _merge_exchange(n):
+            np.minimum(rows[a], rows[b], out=spare)
+            np.maximum(rows[a], rows[b], out=rows[b])
+            rows[a], spare = spare, rows[a]
+        total = out[at:at + width]
+        np.add(rows[k], 0.0, out=total)
+        for row in rows[k + 1:n - k]:
+            total += row
+    out /= n - 2 * k
+    return out
 
 
 def aggregate_median(mat: np.ndarray) -> AggregationResult:

@@ -13,14 +13,14 @@ round]))``, with the oracle in ``tests/oracles.py``.
 Local SGD is one :func:`local_train` call per round: the clients' parameters
 are rows of an (n, P) matrix, and the clients whose current batch has the
 same size take their step together, with bitwise the arithmetic of a
-per-client loop.  Each ``loss_and_grad`` call takes a consecutive run of
-such clients whose gradients fit in ``GRAD_BYTES``, into one (block, P)
-buffer allocated per call of :func:`local_train` and reused by every step,
-so training holds the (n, P) matrix plus bounded scratch.  A client whose
-row the attack plan replaces with noise is not trained: its row holds the
-global model until the noise overwrites it.  The returned matrix is the
-round's one update matrix, owned as :mod:`dosfl.params` states, and the
-loop deletes it before the next round trains.
+per-client loop.  Each such group is one ``loss_and_grad`` call, which steps
+the clients' rows in place, one layer at a time, from a gradient block of at
+most ``GRAD_BYTES`` or one client's largest layer, so training holds the
+(n, P) matrix plus one layer block and the forward activations.  A client whose row the attack plan
+replaces with noise is not trained: its row holds the global model until the
+noise overwrites it.  The returned matrix is the round's one update matrix,
+owned as :mod:`dosfl.params` states, and the loop deletes it before the next
+round trains.
 Evaluation reads every one-vs-rest and pairwise Mann-Whitney U from one
 stable argsort per probability column, exactly, as integer counts.
 """
@@ -191,13 +191,15 @@ def _round_streams(cfg: ExperimentConfig, purpose: str,
             yield lambda cid, j=j: _generator(states[row[cid], j])
 
 
-# Gradient bytes one loss_and_grad call may write: the clients of a same-size
-# group are trained in consecutive runs of at most this many bytes of
-# parameters.  4 MiB gives 4 clients per call at P = 105004, where training
-# took 0.93-0.97x the time of all 10 clients in one call, and 1 client per
-# call 1.13-1.20x (median of 40 interleaved repeats, 2 cores); it never
-# splits a group of the 84-parameter logistic model.
-GRAD_BYTES = 4 << 20
+# Bytes of the gradient block loss_and_grad forms at a time: local_train's
+# scratch holds the largest layer of as many clients as fit in this, at least
+# one and at most every trained client.  1 MiB holds one client's 100 x 1000
+# first layer at P = 105004, which stays in L2 beside the rows it updates.
+# On wide_model inputs local_train took 0.64x the time of 4 MiB (5 clients
+# per block), 0.84-0.87x at 2 and 3 clients and 1.06-1.09x at all 10 (median
+# ratios of 40 interleaved repeats, two runs, 2 cores).  It never splits a
+# layer of the 84-parameter logistic model.
+GRAD_BYTES = 1 << 20
 
 
 def local_train(model: ModelSpec, params: np.ndarray, shards: list[LabeledDataset],
@@ -208,11 +210,12 @@ def local_train(model: ModelSpec, params: np.ndarray, shards: list[LabeledDatase
     permutation per epoch from ``rngs[i]``; row i of the returned (n, P)
     matrix is its new parameter vector.  A client whose stream is None is not
     trained, and its row is ``params``.  All clients advance one batch per
-    step.  Those whose batch at that step has the same size share
-    ``loss_and_grad`` calls of at most ``GRAD_BYTES`` of parameters each,
-    which write their gradients into the leading rows of one buffer; the
-    buffer is scaled by the learning rate in place and subtracted.  Each row
-    gets bitwise the update a per-client loop would give it.
+    step.  Those whose batch at that step has the same size take one
+    ``loss_and_grad`` call, which steps their rows in place: a view of the
+    rows when their ids are consecutive, else a gathered copy written back
+    once.  Its scratch holds the largest layer of as many clients as
+    ``GRAD_BYTES`` allows, at most every trained one.  Each row gets bitwise
+    the update a per-client loop would give it.
     """
     if params.size != model.param_count:
         raise ConfigError(f"params have {params.size} entries, model needs {model.param_count}")
@@ -229,24 +232,22 @@ def local_train(model: ModelSpec, params: np.ndarray, shards: list[LabeledDatase
                         for order in orders for at in range(0, m, cfg.batch_size)])
         offset += m
     thetas = np.tile(params, (len(shards), 1))
-    block = min(len(shards), max(1, GRAD_BYTES // params.nbytes))
-    grad = np.empty((block, params.size))
+    trained = sum(rng is not None for rng in rngs)
+    largest = model.largest_layer
+    scratch = np.empty(max(1, min(trained, GRAD_BYTES // (8 * largest))) * largest)
     for step in range(max(map(len, batches))):
         by_size: dict[int, list[int]] = {}
         for cid, b in enumerate(batches):
             if step < len(b):
                 by_size.setdefault(len(b[step]), []).append(cid)
         for group in by_size.values():
-            for at in range(0, len(group), block):
-                part = group[at:at + block]
-                idx = np.stack([batches[cid][step] for cid in part])
-                # consecutive ids index a view of the rows instead of a copy
-                rows = (slice(part[0], part[-1] + 1)
-                        if part[-1] - part[0] == len(part) - 1 else part)
-                _, g = loss_and_grad(model, thetas[rows], features[idx], labels[idx],
-                                     out=grad[:len(part)])
-                g *= cfg.learning_rate  # bitwise lr * g: IEEE products commute
-                thetas[rows] -= g
+            idx = np.stack([batches[cid][step] for cid in group])
+            # consecutive ids step a view of the rows; others a copy, written back once
+            consecutive = group[-1] - group[0] == len(group) - 1
+            rows = thetas[group[0]:group[-1] + 1] if consecutive else thetas[group]
+            loss_and_grad(model, rows, features[idx], labels[idx], cfg.learning_rate, scratch)
+            if not consecutive:
+                thetas[group] = rows
     return thetas
 
 

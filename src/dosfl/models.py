@@ -6,11 +6,11 @@ aggregation rules never see layer structure; pack order is W1, b1, (W2, b2).
 The kind is read only by :class:`ModelSpec`, whose ``layer_shapes`` is the
 model's one description: every other function walks the (W, b) pairs that
 :func:`unpack` returns, with a ReLU between layers and none after the last.
-``loss_and_grad`` takes a (k, P) stack of such vectors, one per client, with
-a batch per row, and writes each row's gradient, bitwise the single-model
-one, into a caller's (k, P) buffer, so a training loop makes no (k, P)
-temporary per step.  ``predict_proba`` runs the same forward loop on a stack
-of one.
+``loss_and_grad`` is one SGD step of a (k, P) stack of such vectors, one per
+client, with a batch per row: it steps each row in place by bitwise the
+single-model update, one layer at a time from a caller's gradient block, so a
+training loop makes no (k, P) temporary per step.  ``predict_proba`` runs the
+same forward loop on a stack of one.
 """
 
 from __future__ import annotations
@@ -43,6 +43,11 @@ class ModelSpec:
     @property
     def param_count(self) -> int:
         return sum(math.prod(shape) for shape in self.layer_shapes())
+
+    @property
+    def largest_layer(self) -> int:
+        """Entries of the largest layer: one model's share of a gradient block."""
+        return max(math.prod(shape) for shape in self.layer_shapes())
 
     def layer_shapes(self) -> list[tuple[int, ...]]:
         q, c, h = self.input_dim, self.class_count, self.hidden_dim
@@ -83,29 +88,55 @@ def predict_proba(spec: ModelSpec, flat: np.ndarray, features: np.ndarray) -> np
 
 
 def loss_and_grad(spec: ModelSpec, flat: np.ndarray, features: np.ndarray,
-                  labels: np.ndarray, out: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Mean softmax cross-entropy per model and its flat gradient.
+                  labels: np.ndarray, lr: float, scratch: np.ndarray) -> np.ndarray:
+    """Mean softmax cross-entropy per model, and one SGD step of each model in place.
 
-    ``flat`` is (k, P), ``features`` (k, b, q) and ``labels`` (k, b): k models,
-    each scored on its own batch of b samples.  ``out``, a C-contiguous
-    float64 (k, P) array, receives each layer's gradient in its slice.
-    Returns the (k,) losses and ``out``.  Every product is a per-model matmul
-    (``X @ W.transpose(0, 2, 1)``, never ``(W @ X^T)^T``), so row i is bitwise
-    what the same op sequence gives on model i alone.
+    ``flat`` is a writeable C-contiguous float64 (k, P) stack, ``features``
+    (k, b, q) and ``labels`` (k, b): k models, each scored on its own batch
+    of b samples.  Each row of ``flat`` moves to ``row - lr * grad`` and the
+    (k,) losses before the step are returned.  Layers are stepped from the
+    top down, and the delta passed below a layer is formed from its weights
+    before they move.  A weight gradient is formed for as many models at a
+    time as the 1-D float64 ``scratch`` holds, scaled by ``lr`` and
+    subtracted, so no (k, P) gradient exists; a bias gradient, no larger than
+    an activation, is stepped the same way from one (k, h) array.  Every
+    product is a per-model matmul (``X @ W.transpose(0, 2, 1)``, never
+    ``(W @ X^T)^T``), so row i is bitwise what the same op sequence gives on
+    model i alone.
     """
-    if (flat.ndim != 2 or out.shape != flat.shape or out.dtype != np.float64
-            or not out.flags.c_contiguous):
-        raise DimensionError(f"flat must be (k, P) and out a C-contiguous float64 array "
-                             f"of its shape, got {flat.shape} and {out.shape}")
-    layers, grads = unpack(spec, flat), unpack(spec, out)
+    if (flat.ndim != 2 or flat.dtype != np.float64 or not flat.flags.c_contiguous
+            or not flat.flags.writeable):
+        raise DimensionError(f"flat must be a writeable C-contiguous float64 (k, P) array, "
+                             f"got shape {flat.shape}, dtype {flat.dtype}")
+    if scratch.ndim != 1 or scratch.dtype != np.float64:
+        raise DimensionError(f"scratch must be a 1-D float64 array, got shape "
+                             f"{scratch.shape}, dtype {scratch.dtype}")
+    layers = unpack(spec, flat)
     inputs = _forward(layers, features)
     loss, delta = _loss_head(inputs.pop(), labels)
     for i in reversed(range(len(inputs))):
-        np.matmul(delta.transpose(0, 2, 1), inputs[i], out=grads[2 * i])
-        delta.sum(axis=1, out=grads[2 * i + 1])
-        if i:  # back through the ReLU: its output is > 0 exactly where its input was
-            delta = (delta @ layers[2 * i]) * (inputs[i] > 0.0)
-    return loss, out
+        weights, bias = layers[2 * i], layers[2 * i + 1]
+        # back through the ReLU: its output is > 0 exactly where its input was
+        below = (delta @ weights) * (inputs[i] > 0.0) if i else None
+        size = weights.shape[1] * weights.shape[2]
+        block = scratch.size // size  # models whose weight gradient fits
+        if not block:
+            raise DimensionError(f"scratch of {scratch.size} entries holds no "
+                                 f"{weights.shape[1:]} weight gradient")
+        for at in range(0, len(flat), block):
+            g = scratch[:min(block, len(flat) - at) * size]
+            np.matmul(delta[at:at + block].transpose(0, 2, 1), inputs[i][at:at + block],
+                      out=g.reshape(-1, *weights.shape[1:]))
+            g *= lr  # bitwise lr * g: IEEE products commute
+            # a (models, size) view: an in-place ufunc on the strided (k, h, q)
+            # view would copy it first
+            rows = weights[at:at + block].reshape(-1, size)
+            rows -= g.reshape(rows.shape)
+        g = delta.sum(axis=1)
+        g *= lr
+        bias -= g
+        delta = below
+    return loss
 
 
 def _forward(layers: list[np.ndarray], features: np.ndarray) -> list[np.ndarray]:

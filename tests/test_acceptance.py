@@ -223,20 +223,22 @@ def test_outputs_match_golden_digests(grid):
 
 
 def test_wide_dos_crafted_digests_hold_on_one_blas_thread():
-    # the golden file is made at the machine's BLAS thread count; DOS at the
-    # wide_model width must give the same bits on one thread
-    name = "wide_dos_crafted"
+    # the golden file is made at the machine's BLAS thread count; DOS and the
+    # order rules at the wide_model width must give the same bits on one thread
+    names = ["wide_dos_crafted", "wide_median", "wide_trimmed_mean"]
     code = ("import json; from tests import golden; from worker import records_digest; "
-            f"r = golden.run(golden.SHORT_RUNS[{name!r}]); "
-            "print(json.dumps([records_digest(r), r.theta_digest]))")
+            f"runs = {{name: golden.run(golden.SHORT_RUNS[name]) for name in {names!r}}}; "
+            "print(json.dumps({name: [records_digest(r), r.theta_digest] "
+            "for name, r in runs.items()}))")
     env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "PYTHONPATH": os.pathsep.join(sys.path)}
     proc = subprocess.run([sys.executable, "-c", code], cwd=Path(__file__).resolve().parent.parent,
                           env=env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    pinned = golden.load()
-    want = [pinned[key][f"short/{name}"] for key in golden.MAPS]
-    assert report(json.loads(proc.stdout) == want,
-                  f"short/{name} on one BLAS thread matches both golden digests")
+    got, pinned = json.loads(proc.stdout), golden.load()
+    held = [report(got[name] == [pinned[key][f"short/{name}"] for key in golden.MAPS],
+                   f"short/{name} on one BLAS thread matches both golden digests")
+            for name in names]
+    assert all(held)
 
 
 def test_copod_matches_bruteforce_oracle():
@@ -310,10 +312,10 @@ def test_property_suite(tmp_path):
     labels = rng.integers(0, 3, 20)
     params = rng.standard_normal(spec.param_count) * 0.5
 
-    def one_model(p):  # the loss and gradient of one model, as a stack of one
-        loss, g = loss_and_grad(spec, p[None], feats[None], labels[None],
-                                out=np.empty((1, p.size)))
-        return loss[0], g[0]
+    def one_model(p):  # the loss and theta - theta' after one step at lr = 1 of a copy
+        stepped = p[None].copy()
+        loss = loss_and_grad(spec, stepped, feats[None], labels[None], 1.0, np.empty(p.size))
+        return loss[0], p - stepped[0]
 
     _, grad = one_model(params)
     worst = 0.0

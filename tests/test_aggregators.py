@@ -225,7 +225,7 @@ def test_order_rules_in_column_blocks_equal_one_full_sort_bitwise(monkeypatch, n
     # Blocks of 3 columns over 13 leave a one-column tail.  12 rows trimmed
     # by 1 keep 10, where a one-column mean takes numpy's pairwise sum and
     # differs in the last bit from the full matrix's mean.
-    monkeypatch.setattr(aggregators, "SORT_BYTES", 3 * n * 8)
+    monkeypatch.setattr(aggregators, "SORT_BYTES", 3 * (n + 1) * 8)
     rng = np.random.default_rng(n)
     for _ in range(20):
         mat = rng.standard_normal((n, 13)) * 10.0 ** rng.integers(-3, 4, size=(n, 1))
@@ -253,3 +253,38 @@ def test_order_rules_peak_memory_is_kept_rows_and_one_block(trim):
     finally:
         tracemalloc.stop()
     assert peak <= (n - 2 * k + 1) * d * 8 + 2 * aggregators.SORT_BYTES
+
+
+def _tied_matrix(rng, n, d):
+    """Half the columns from five values with both zeros, half spread over
+    six decades, and repeated rows, so most columns hold ties."""
+    mat = rng.standard_normal((n, d)) * 10.0 ** rng.integers(-3, 4, size=(1, d))
+    tied = rng.random(d) < 0.5
+    mat[:, tied] = rng.choice([-2.0, -0.0, 0.0, 1.5, 3.0], size=(n, int(tied.sum())))
+    mat[rng.integers(0, n, size=n // 3)] = mat[rng.integers(0, n)]
+    return mat
+
+
+@pytest.mark.parametrize("n", [*range(2, 17), 40, 200])
+def test_order_statistic_kernel_equals_one_full_sort_bytewise(monkeypatch, n):
+    # Every k, at widths on both sides of the network's selection; then the
+    # network alone in blocks of 3 columns over 4, which leave a one-column
+    # tail.  A sum from +0.0 does not see which zero a -0.0/0.0 tie kept, so
+    # the bytes match even where they tie.
+    rng = np.random.default_rng(n)
+    network = aggregators._network_slice_mean
+    ran = []
+    monkeypatch.setattr(aggregators, "_network_slice_mean",
+                        lambda mat, k: ran.append(mat.shape[1]) or network(mat, k))
+    for d in (1, 2, 5, 300, 5000):
+        mat = _tied_matrix(rng, n, d)
+        for k in range((n + 1) // 2):
+            want = np.sort(mat, axis=0)[k:n - k].mean(axis=0)
+            assert aggregators._sorted_slice_mean(mat, k).tobytes() == want.tobytes(), (d, k)
+    if n <= 16:
+        assert 5000 in ran and 1 not in ran and 5 not in ran
+    mat = _tied_matrix(rng, n, 4)
+    monkeypatch.setattr(aggregators, "SORT_BYTES", 3 * (n + 1) * 8)
+    for k in range((n + 1) // 2):
+        want = np.sort(mat, axis=0)[k:n - k].mean(axis=0)
+        assert network(mat, k).tobytes() == want.tobytes(), k

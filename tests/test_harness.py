@@ -181,35 +181,42 @@ def test_batched_training_single_client(kind):
 
 @pytest.mark.parametrize("kind", ["logistic", "mlp1"])
 def test_loss_and_grad_writes_into_out(kind):
+    # a stepped stack is bitwise each row stepped alone, whether the scratch
+    # holds one model's largest layer or all three
     spec = ModelSpec(kind=kind, input_dim=5, class_count=3, hidden_dim=6)
+    largest = spec.largest_layer
     rng = rng_of(33)
     flat = rng.standard_normal((3, spec.param_count))
     features = rng.standard_normal((3, 7, 5))  # a different batch per model
     labels = rng.integers(0, 3, size=(3, 7))
-    loss, grad = loss_and_grad(spec, flat, features, labels, out=np.zeros_like(flat))
-    buf = np.full_like(flat, np.nan)
-    loss_out, got = loss_and_grad(spec, flat, features, labels, out=buf)
-    assert got is buf
-    np.testing.assert_array_equal(loss_out, loss)
-    np.testing.assert_array_equal(buf, grad)
-
-    one = np.full((1, spec.param_count), np.nan)
-    loss_one, got = loss_and_grad(spec, flat[1:2], features[1:2], labels[1:2], out=one)
-    assert got is one
-    assert loss_one[0] == loss[1]
-    np.testing.assert_array_equal(one[0], grad[1])  # bitwise the row of the stack
+    for block in (1, 3):
+        stack = flat.copy()
+        loss = loss_and_grad(spec, stack, features, labels, 0.3, np.empty(block * largest))
+        assert loss.shape == (3,)
+        assert not np.array_equal(stack, flat)
+        for i in range(3):
+            one = flat[i:i + 1].copy()
+            loss_one = loss_and_grad(spec, one, features[i:i + 1], labels[i:i + 1], 0.3,
+                                     np.empty(largest))
+            assert loss_one[0] == loss[i]
+            assert one.tobytes() == stack[i].tobytes()
 
 
 def test_loss_and_grad_rejects_out_it_cannot_fill():
     spec = ModelSpec(kind="logistic", input_dim=2, class_count=2)
-    flat = np.zeros((2, spec.param_count))
     features, labels = np.zeros((2, 3, 2)), np.zeros((2, 3), dtype=int)
-    for out in (np.empty((1, spec.param_count)), np.empty((2, spec.param_count), np.float32),
-                np.empty((spec.param_count, 2)).T):
-        with pytest.raises(DimensionError, match="out"):
-            loss_and_grad(spec, flat, features, labels, out=out)
+    scratch = np.empty(spec.param_count)
+    read_only = np.zeros((2, spec.param_count))
+    read_only.flags.writeable = False
+    for flat in (np.zeros((2, spec.param_count), np.float32),
+                 np.zeros((spec.param_count, 2)).T, read_only):
+        with pytest.raises(DimensionError, match="flat"):
+            loss_and_grad(spec, flat, features, labels, 0.1, scratch)
     with pytest.raises(DimensionError, match=r"\(k, P\)"):  # one model is a stack of one
-        loss_and_grad(spec, flat[0], features[0], labels[0], out=np.empty(spec.param_count))
+        loss_and_grad(spec, np.zeros(spec.param_count), features[0], labels[0], 0.1, scratch)
+    with pytest.raises(DimensionError, match="scratch"):  # less than one model's largest layer
+        loss_and_grad(spec, np.zeros((2, spec.param_count)), features, labels, 0.1,
+                      np.empty(3))
 
 
 def test_local_train_peak_memory_is_two_parameter_matrices():
@@ -235,22 +242,26 @@ def test_local_train_peak_memory_is_two_parameter_matrices():
 @pytest.mark.parametrize("block", [1, 2, 3])
 def test_training_in_gradient_blocks_matches_per_client_loop(monkeypatch, kind, block):
     # Shards of 4, 32, 17, 14, 5 and 18 samples in batches of 4: client 3 is
-    # not trained, so from step 1 on the same-size groups are ids 1, 2, 5 and
-    # 1, 2, 4, 5; with the budget binding they go in runs of ``block``.
+    # not trained, so the same-size groups are the five trained ids at step
+    # 0, then ids 1, 2, 5 and 1, 2, 4, 5, one loss_and_grad call each; with
+    # the budget binding, the largest layer's gradient is formed ``block``
+    # clients at a time.
     spec, params, shards = _training_case(kind, "label_skew", 6)
-    monkeypatch.setattr(harness, "GRAD_BYTES", block * params.nbytes)
+    largest = spec.largest_layer
+    monkeypatch.setattr(harness, "GRAD_BYTES", block * largest * 8)
     calls = []
     loss_and_grad_ = harness.loss_and_grad
 
-    def recording(model, flat, *args, **kwargs):
-        calls.append(len(flat))
-        return loss_and_grad_(model, flat, *args, **kwargs)
+    def recording(model, flat, features, labels, lr, scratch):
+        calls.append((len(flat), scratch.size))
+        return loss_and_grad_(model, flat, features, labels, lr, scratch)
 
     monkeypatch.setattr(harness, "loss_and_grad", recording)
     cfg = TrainConfig(learning_rate=0.3, local_steps=2, batch_size=4, rounds=1)
     rngs = [None if i == 3 else rng_of(40 + i) for i in range(len(shards))]
     out = local_train(spec, params, shards, cfg, rngs)
-    assert max(calls) == block
+    assert {size for _, size in calls} == {block * largest}
+    assert max(k for k, _ in calls) == 5 > block
     assert out[3].tobytes() == params.tobytes()
     for i, shard in enumerate(shards):
         if i != 3:
@@ -259,23 +270,28 @@ def test_training_in_gradient_blocks_matches_per_client_loop(monkeypatch, kind, 
 
 
 def test_local_train_peak_memory_is_one_matrix_and_the_gradient_budget():
-    # The wide_model shape: GRAD_BYTES binds at 4 of 10 clients per call, so
-    # the gradient buffer is 4 rows; the bound also counts the concatenated
-    # shards.  Any second (n, P) array would exceed it.
+    # The wide_model shape: GRAD_BYTES binds at one client's 100 x 1000 layer,
+    # so the scratch is one layer block.  Beside it the bound counts the
+    # (n, P) matrix, the concatenated shards and the forward activations:
+    # three (k, b, q + h + c) arrays cover the layer inputs and the deltas
+    # of a step.  A (block, P) gradient buffer, or any second (n, P) array,
+    # would exceed it.
     spec = ModelSpec(kind="mlp1", input_dim=100, class_count=4, hidden_dim=1000)
     ds = generate_synthetic(4, 100, 20, 3.0, rng_of(38))
     shards = partition_iid(ds, 10, rng_of(39))
     params = init_params(spec, rng_of(40))
-    assert harness.GRAD_BYTES // params.nbytes == 4
+    layer_bytes = 100 * 1000 * 8
+    assert harness.GRAD_BYTES // layer_bytes == 1
     cfg = TrainConfig(learning_rate=0.1, local_steps=1, batch_size=4, rounds=1)
     shard_bytes = sum(s.features.nbytes + s.labels.nbytes for s in shards)
+    activation_bytes = 3 * 10 * cfg.batch_size * (100 + 1000 + 4) * 8
     tracemalloc.start()
     try:
         local_train(spec, params, shards, cfg, [rng_of(41 + i) for i in range(10)])
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 10 * params.nbytes + harness.GRAD_BYTES + shard_bytes
+    assert peak <= 10 * params.nbytes + layer_bytes + activation_bytes + shard_bytes
 
 
 def test_local_train_rejects_wrong_param_count():
@@ -286,10 +302,12 @@ def test_local_train_rejects_wrong_param_count():
 
 
 def _one_model_loss_and_grad(spec, params, feats, labels):
-    """The loss and (P,) gradient of one (P,) model, through a stack of one."""
-    loss, grad = loss_and_grad(spec, params[None], feats[None], labels[None],
-                               out=np.empty((1, params.size)))
-    return loss[0], grad[0]
+    """The loss and (P,) gradient of one (P,) model: theta - theta' after one
+    step at lr = 1 of a copy, as a stack of one."""
+    stepped = params[None].copy()
+    loss = loss_and_grad(spec, stepped, feats[None], labels[None], 1.0,
+                         np.empty(spec.param_count))
+    return loss[0], params - stepped[0]
 
 
 def _fd_max_rel_err(spec, params, feats, labels, step=1e-5):
