@@ -13,14 +13,15 @@ round]))``, with the oracle in ``tests/oracles.py``.
 Local SGD is one :func:`local_train` call per round: the clients' parameters
 are rows of an (n, P) matrix, and the clients whose current batch has the
 same size take their step together, with bitwise the arithmetic of a
-per-client loop.  Each such group is one ``loss_and_grad`` call, which steps
-the clients' rows in place, one layer at a time, from a gradient block of at
-most ``GRAD_BYTES`` or one client's largest layer, so training holds the
-(n, P) matrix plus one layer block and the forward activations.  A client whose row the attack plan
-replaces with noise is not trained: its row holds the global model until the
-noise overwrites it.  The returned matrix is the round's one update matrix,
-owned as :mod:`dosfl.params` states, and the loop deletes it before the next
-round trains.
+per-client loop.  Each such group is one ``loss_and_grad`` call, the SGD step,
+which computes no loss and steps the clients' rows in place, one layer at a
+time, from a gradient block of at most ``GRAD_BYTES`` or one client's largest
+layer, so training holds the (n, P) matrix plus one layer block and the
+forward activations.  A client whose row the attack plan replaces with noise
+is not trained: its row holds the global model until the noise overwrites
+it.  The returned matrix is the round's one update matrix, owned as
+:mod:`dosfl.params` states, and the loop deletes it before the next round
+trains.
 Evaluation reads every one-vs-rest and pairwise Mann-Whitney U from one
 stable argsort per probability column, exactly, as integer counts.
 """
@@ -180,7 +181,8 @@ def _round_streams(cfg: ExperimentConfig, purpose: str,
 
     States are derived ``_BLOCK_ROUNDS`` rounds at a time, when the loop
     first reaches the block, and not at all when ``clients`` is empty;
-    generators are built only when asked for.
+    generators are built only when asked for.  Each map keeps its own
+    block's states, so a map held past later blocks still gives its round.
     """
     row = {cid: i for i, cid in enumerate(clients)}
     tag = _purpose_tag(purpose)
@@ -188,7 +190,7 @@ def _round_streams(cfg: ExperimentConfig, purpose: str,
         block = range(start, min(start + _BLOCK_ROUNDS, cfg.train.rounds))
         states = _stream_states(cfg.seed, tag, clients, block) if clients else None
         for j in range(len(block)):
-            yield lambda cid, j=j: _generator(states[row[cid], j])
+            yield lambda cid, j=j, states=states: _generator(states[row[cid], j])
 
 
 # Bytes of the gradient block loss_and_grad forms at a time: local_train's

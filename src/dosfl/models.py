@@ -6,11 +6,13 @@ aggregation rules never see layer structure; pack order is W1, b1, (W2, b2).
 The kind is read only by :class:`ModelSpec`, whose ``layer_shapes`` is the
 model's one description: every other function walks the (W, b) pairs that
 :func:`unpack` returns, with a ReLU between layers and none after the last.
-``loss_and_grad`` is one SGD step of a (k, P) stack of such vectors, one per
-client, with a batch per row: it steps each row in place by bitwise the
-single-model update, one layer at a time from a caller's gradient block, so a
-training loop makes no (k, P) temporary per step.  ``predict_proba`` runs the
-same forward loop on a stack of one.
+``loss_and_grad`` is one SGD step on the mean softmax cross-entropy of a
+(k, P) stack of such vectors, one per client, with a batch per row.  It steps
+each row in place by bitwise the single-model update, one layer at a time from
+a caller's gradient block, so a training loop makes no (k, P) temporary per
+step, and it returns nothing: no round reads a loss value, so none is
+computed.  It keeps its name because perfbench times it under that name.
+``predict_proba`` runs the same forward loop on a stack of one.
 """
 
 from __future__ import annotations
@@ -88,19 +90,20 @@ def predict_proba(spec: ModelSpec, flat: np.ndarray, features: np.ndarray) -> np
 
 
 def loss_and_grad(spec: ModelSpec, flat: np.ndarray, features: np.ndarray,
-                  labels: np.ndarray, lr: float, scratch: np.ndarray) -> np.ndarray:
-    """Mean softmax cross-entropy per model, and one SGD step of each model in place.
+                  labels: np.ndarray, lr: float, scratch: np.ndarray) -> None:
+    """One SGD step of each model in place on its mean softmax cross-entropy.
 
     ``flat`` is a writeable C-contiguous float64 (k, P) stack, ``features``
-    (k, b, q) and ``labels`` (k, b): k models, each scored on its own batch
-    of b samples.  Each row of ``flat`` moves to ``row - lr * grad`` and the
-    (k,) losses before the step are returned.  Layers are stepped from the
-    top down, and the delta passed below a layer is formed from its weights
-    before they move.  A weight gradient is formed for as many models at a
-    time as the 1-D float64 ``scratch`` holds, scaled by ``lr`` and
-    subtracted, so no (k, P) gradient exists; a bias gradient, no larger than
-    an activation, is stepped the same way from one (k, h) array.  Every
-    product is a per-model matmul (``X @ W.transpose(0, 2, 1)``, never
+    (k, b, q) and ``labels`` (k, b): k models, each on its own batch of b
+    samples.  Each row of ``flat`` moves to ``row - lr * grad``; nothing is
+    returned, and no loss is computed.  The name is older than that and stays
+    because perfbench times the step as ``models.loss_and_grad``.  Layers are
+    stepped from the top down, and the delta passed below a layer is formed
+    from its weights before they move.  A weight gradient is formed for as
+    many models at a time as the 1-D float64 ``scratch`` holds, scaled by
+    ``lr`` and subtracted, so no (k, P) gradient exists; a bias gradient, no
+    larger than an activation, is stepped the same way from one (k, h) array.
+    Every product is a per-model matmul (``X @ W.transpose(0, 2, 1)``, never
     ``(W @ X^T)^T``), so row i is bitwise what the same op sequence gives on
     model i alone.
     """
@@ -113,7 +116,15 @@ def loss_and_grad(spec: ModelSpec, flat: np.ndarray, features: np.ndarray,
                              f"{scratch.shape}, dtype {scratch.dtype}")
     layers = unpack(spec, flat)
     inputs = _forward(layers, features)
-    loss, delta = _loss_head(inputs.pop(), labels)
+    # the output delta (softmax - onehot) / b, formed in place on the logits
+    # that _forward has just allocated: a max-shifted log-softmax, then exp
+    delta = inputs.pop()
+    k, b = labels.shape
+    delta -= delta.max(axis=2, keepdims=True)
+    delta -= np.log(np.exp(delta).sum(axis=2, keepdims=True))
+    np.exp(delta, out=delta)
+    delta[np.arange(k)[:, None], np.arange(b), labels] -= 1.0
+    delta /= b
     for i in reversed(range(len(inputs))):
         weights, bias = layers[2 * i], layers[2 * i + 1]
         # back through the ReLU: its output is > 0 exactly where its input was
@@ -136,7 +147,6 @@ def loss_and_grad(spec: ModelSpec, flat: np.ndarray, features: np.ndarray,
         g *= lr
         bias -= g
         delta = below
-    return loss
 
 
 def _forward(layers: list[np.ndarray], features: np.ndarray) -> list[np.ndarray]:
@@ -148,16 +158,3 @@ def _forward(layers: list[np.ndarray], features: np.ndarray) -> list[np.ndarray]
         outputs.append(z if i + 2 == len(layers) else np.maximum(z, 0.0))
     return outputs
 
-
-def _loss_head(logits: np.ndarray, labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per-model mean cross-entropy via log-softmax (no clipping), and its
-    derivative (probs - onehot) / batch size with respect to the (k, b, c)
-    logits; ``labels`` is (k, b)."""
-    k, m = labels.shape
-    pick = (np.arange(k)[:, None], np.arange(m), labels)
-    shifted = logits - logits.max(axis=2, keepdims=True)
-    log_probs = shifted - np.log(np.exp(shifted).sum(axis=2, keepdims=True))
-    delta = np.exp(log_probs)
-    delta[pick] -= 1.0
-    delta /= m
-    return -log_probs[pick].mean(axis=1), delta

@@ -3,7 +3,9 @@ numpy-free in their arithmetic so they share nothing with the library path.
 
 The exceptions are the references that the library must match bit for bit.
 The local-training reference runs one client at a time in plain 2-D numpy,
-with its own layer slicing and products and no call into the library.  The
+with its own layer slicing and products and no call into the library; the
+mean cross-entropy that the finite-difference checks difference is written
+the same way, so the objective is independent of the step under test.  The
 COPOD reference computes every float in input order, as the sorted-order
 kernel must reproduce it.  The attack-plan reference builds the transmitted
 matrix out of place with its own arithmetic and no call into the library's
@@ -210,15 +212,27 @@ def reference_local_train(spec, params, data, cfg, rng):
 def reference_predict_proba(spec, flat, features):
     """Class probabilities of one (P,) model on (b, q) features, with the
     layer products written out in 2-D numpy and a max-shifted softmax."""
+    logits = _reference_logits(spec, flat, features)
+    z = np.exp(logits - logits.max(axis=1, keepdims=True))
+    return z / z.sum(axis=1, keepdims=True)
+
+
+def reference_cross_entropy(spec, flat, features, labels):
+    """Mean softmax cross-entropy of one (P,) model on (b, q) features and (b,)
+    labels, via a max-shifted log-softmax: the objective of the SGD step."""
+    logits = _reference_logits(spec, flat, features)
+    shifted = logits - logits.max(axis=1, keepdims=True)
+    log_probs = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+    return -log_probs[np.arange(len(labels)), labels].mean()
+
+
+def _reference_logits(spec, flat, features):
     layers = _reference_layers(spec, flat)
     if spec.kind == "logistic":
         w, b = layers
-        logits = features @ w.T + b
-    else:
-        w1, b1, w2, b2 = layers
-        logits = np.maximum(features @ w1.T + b1, 0.0) @ w2.T + b2
-    z = np.exp(logits - logits.max(axis=1, keepdims=True))
-    return z / z.sum(axis=1, keepdims=True)
+        return features @ w.T + b
+    w1, b1, w2, b2 = layers
+    return np.maximum(features @ w1.T + b1, 0.0) @ w2.T + b2
 
 
 def _reference_layers(spec, flat):

@@ -25,8 +25,8 @@ from dosfl.harness import (
 )
 from dosfl.models import ModelSpec, init_params, loss_and_grad, predict_proba
 
-from .oracles import mann_whitney_auc_oracle, reference_local_train, reference_predict_proba, \
-    reference_seed_stream
+from .oracles import mann_whitney_auc_oracle, reference_cross_entropy, reference_local_train, \
+    reference_predict_proba, reference_seed_stream
 
 
 def rng_of(seed):
@@ -133,10 +133,10 @@ def test_local_train_reduces_loss():
     spec = ModelSpec(kind="logistic", input_dim=6, class_count=2)
     ds = generate_synthetic(2, 6, 40, 6.0, rng_of(18))
     params = init_params(spec, rng_of(19))
-    before, _ = _one_model_loss_and_grad(spec, params, ds.features, ds.labels)
+    before = reference_cross_entropy(spec, params, ds.features, ds.labels)
     cfg = TrainConfig(learning_rate=0.01, local_steps=1, batch_size=16, rounds=1)
     after_params = local_train(spec, params, [ds], cfg, [rng_of(20)])[0]
-    after, _ = _one_model_loss_and_grad(spec, after_params, ds.features, ds.labels)
+    after = reference_cross_entropy(spec, after_params, ds.features, ds.labels)
     assert after <= before
 
 
@@ -182,23 +182,24 @@ def test_batched_training_single_client(kind):
 @pytest.mark.parametrize("kind", ["logistic", "mlp1"])
 def test_loss_and_grad_writes_into_out(kind):
     # a stepped stack is bitwise each row stepped alone, whether the scratch
-    # holds one model's largest layer or all three
+    # holds one model's largest layer or all three; the step writes only the
+    # stack and the scratch, and returns nothing
     spec = ModelSpec(kind=kind, input_dim=5, class_count=3, hidden_dim=6)
     largest = spec.largest_layer
     rng = rng_of(33)
     flat = rng.standard_normal((3, spec.param_count))
     features = rng.standard_normal((3, 7, 5))  # a different batch per model
     labels = rng.integers(0, 3, size=(3, 7))
+    inputs = features.tobytes(), labels.tobytes()
     for block in (1, 3):
         stack = flat.copy()
-        loss = loss_and_grad(spec, stack, features, labels, 0.3, np.empty(block * largest))
-        assert loss.shape == (3,)
+        assert loss_and_grad(spec, stack, features, labels, 0.3,
+                             np.empty(block * largest)) is None
+        assert (features.tobytes(), labels.tobytes()) == inputs
         assert not np.array_equal(stack, flat)
         for i in range(3):
             one = flat[i:i + 1].copy()
-            loss_one = loss_and_grad(spec, one, features[i:i + 1], labels[i:i + 1], 0.3,
-                                     np.empty(largest))
-            assert loss_one[0] == loss[i]
+            loss_and_grad(spec, one, features[i:i + 1], labels[i:i + 1], 0.3, np.empty(largest))
             assert one.tobytes() == stack[i].tobytes()
 
 
@@ -222,7 +223,7 @@ def test_loss_and_grad_rejects_out_it_cannot_fill():
 def test_local_train_peak_memory_is_two_parameter_matrices():
     # P = 32131 is far above batch x hidden = 128, so per-step (n, P)
     # temporaries would dominate the peak; the bound leaves room for the
-    # parameter matrix, the gradient buffer and the concatenated shards.
+    # parameter matrix, the step's scratch and the concatenated shards.
     spec = ModelSpec(kind="mlp1", input_dim=1000, class_count=3, hidden_dim=32)
     ds = generate_synthetic(3, 1000, 24, 3.0, rng_of(34))
     shards = partition_iid(ds, 4, rng_of(35))
@@ -301,25 +302,20 @@ def test_local_train_rejects_wrong_param_count():
         local_train(spec, params[:-1], shards, cfg, [rng_of(0), rng_of(1)])
 
 
-def _one_model_loss_and_grad(spec, params, feats, labels):
-    """The loss and (P,) gradient of one (P,) model: theta - theta' after one
-    step at lr = 1 of a copy, as a stack of one."""
-    stepped = params[None].copy()
-    loss = loss_and_grad(spec, stepped, feats[None], labels[None], 1.0,
-                         np.empty(spec.param_count))
-    return loss[0], params - stepped[0]
-
-
 def _fd_max_rel_err(spec, params, feats, labels, step=1e-5):
-    _, grad = _one_model_loss_and_grad(spec, params, feats, labels)
+    # the step's gradient is theta - theta' after one step at lr = 1 of a
+    # stack of one; the differenced objective is the reference's
+    stepped = params[None].copy()
+    loss_and_grad(spec, stepped, feats[None], labels[None], 1.0, np.empty(spec.param_count))
+    grad = params - stepped[0]
     worst = 0.0
     for j in range(params.size):
         up = params.copy()
         up[j] += step
         down = params.copy()
         down[j] -= step
-        lu, _ = _one_model_loss_and_grad(spec, up, feats, labels)
-        ld, _ = _one_model_loss_and_grad(spec, down, feats, labels)
+        lu = reference_cross_entropy(spec, up, feats, labels)
+        ld = reference_cross_entropy(spec, down, feats, labels)
         fd = (lu - ld) / (2 * step)
         rel = abs(fd - grad[j]) / max(abs(fd), abs(grad[j]), 1e-3)
         worst = max(worst, rel)
@@ -682,6 +678,20 @@ def test_stream_keys_beyond_32_bits_are_refused():
     last = seed_stream(0, "train", 2 ** 32 - 1, 2 ** 32 - 1)
     ref = reference_seed_stream(0, harness._purpose_tag("train"), 2 ** 32 - 1, 2 ** 32 - 1)
     assert last.bit_generator.state == ref.bit_generator.state
+
+
+def test_round_streams_held_past_their_block_keep_their_round():
+    # every map is taken before any is used, so the generator has moved on
+    # to the last block by the time the first map is called
+    setup = small_setup(train=TrainConfig(rounds=harness._BLOCK_ROUNDS + 2))
+    clients = [0, 2, 3]
+    maps = list(harness._round_streams(setup, "train", clients))
+    assert len(maps) == setup.train.rounds
+    tag = harness._purpose_tag("train")
+    for t, rng_for in enumerate(maps):
+        for cid in clients:
+            ref = reference_seed_stream(setup.seed, tag, cid, t)
+            assert rng_for(cid).bit_generator.state == ref.bit_generator.state, (cid, t)
 
 
 def test_stream_states_are_built_a_block_of_rounds_at_a_time(monkeypatch):
