@@ -150,7 +150,10 @@ def attack_label_flip(dataset: LabeledDataset, kind: LabelFlip,
 def local_krum_oracle(sq: np.ndarray) -> int:
     """Krum over the attacker's local view, an (m+1, m+1) squared-distance
     matrix with the crafted point first, with the largest valid byzantine
-    count (m + 1 - 3).  0 means the crafted point won, ties included."""
+    count (m + 1 - 3).  0 means the crafted point won, ties included.  That
+    count leaves each row one neighbour, so the vote is a nearest-neighbour
+    test: the crafted point wins exactly when its nearest honest row is no
+    farther than the closest honest pair."""
     return krum_select(sq, len(sq) - 3)
 
 

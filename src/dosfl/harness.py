@@ -15,9 +15,9 @@ are rows of an (n, P) matrix, and the clients whose current batch has the
 same size take their step together, with bitwise the arithmetic of a
 per-client loop.  Each such group is one ``loss_and_grad`` call, the SGD step,
 which computes no loss and steps the clients' rows in place, one layer at a
-time, from a gradient block of at most ``GRAD_BYTES`` or one client's largest
-layer, so training holds the (n, P) matrix plus one layer block and the
-forward activations.  A client whose row the attack plan replaces with noise
+time, from a gradient block it sizes itself (see :mod:`dosfl.models`), so
+training holds the (n, P) matrix plus one layer block and the forward
+activations.  A client whose row the attack plan replaces with noise
 is not trained: its row holds the global model until the noise overwrites
 it.  The returned matrix is the round's one update matrix, owned as
 :mod:`dosfl.params` states, and the loop deletes it before the next round
@@ -193,17 +193,6 @@ def _round_streams(cfg: ExperimentConfig, purpose: str,
             yield lambda cid, j=j, states=states: _generator(states[row[cid], j])
 
 
-# Bytes of the gradient block loss_and_grad forms at a time: local_train's
-# scratch holds the largest layer of as many clients as fit in this, at least
-# one and at most every trained client.  1 MiB holds one client's 100 x 1000
-# first layer at P = 105004, which stays in L2 beside the rows it updates.
-# On wide_model inputs local_train took 0.64x the time of 4 MiB (5 clients
-# per block), 0.84-0.87x at 2 and 3 clients and 1.06-1.09x at all 10 (median
-# ratios of 40 interleaved repeats, two runs, 2 cores).  It never splits a
-# layer of the 84-parameter logistic model.
-GRAD_BYTES = 1 << 20
-
-
 def local_train(model: ModelSpec, params: np.ndarray, shards: list[LabeledDataset],
                 cfg: TrainConfig, rngs: list[np.random.Generator | None]) -> np.ndarray:
     """Run ``local_steps`` epochs of seeded mini-batch SGD for every client at once.
@@ -215,9 +204,7 @@ def local_train(model: ModelSpec, params: np.ndarray, shards: list[LabeledDatase
     step.  Those whose batch at that step has the same size take one
     ``loss_and_grad`` call, which steps their rows in place: a view of the
     rows when their ids are consecutive, else a gathered copy written back
-    once.  Its scratch holds the largest layer of as many clients as
-    ``GRAD_BYTES`` allows, at most every trained one.  Each row gets bitwise
-    the update a per-client loop would give it.
+    once.  Each row gets bitwise the update a per-client loop would give it.
     """
     if params.size != model.param_count:
         raise ConfigError(f"params have {params.size} entries, model needs {model.param_count}")
@@ -234,9 +221,6 @@ def local_train(model: ModelSpec, params: np.ndarray, shards: list[LabeledDatase
                         for order in orders for at in range(0, m, cfg.batch_size)])
         offset += m
     thetas = np.tile(params, (len(shards), 1))
-    trained = sum(rng is not None for rng in rngs)
-    largest = model.largest_layer
-    scratch = np.empty(max(1, min(trained, GRAD_BYTES // (8 * largest))) * largest)
     for step in range(max(map(len, batches))):
         by_size: dict[int, list[int]] = {}
         for cid, b in enumerate(batches):
@@ -247,7 +231,7 @@ def local_train(model: ModelSpec, params: np.ndarray, shards: list[LabeledDatase
             # consecutive ids step a view of the rows; others a copy, written back once
             consecutive = group[-1] - group[0] == len(group) - 1
             rows = thetas[group[0]:group[-1] + 1] if consecutive else thetas[group]
-            loss_and_grad(model, rows, features[idx], labels[idx], cfg.learning_rate, scratch)
+            loss_and_grad(model, rows, features[idx], labels[idx], cfg.learning_rate)
             if not consecutive:
                 thetas[group] = rows
     return thetas

@@ -8,10 +8,10 @@ model's one description: every other function walks the (W, b) pairs that
 :func:`unpack` returns, with a ReLU between layers and none after the last.
 ``loss_and_grad`` is one SGD step on the mean softmax cross-entropy of a
 (k, P) stack of such vectors, one per client, with a batch per row.  It steps
-each row in place by bitwise the single-model update, one layer at a time from
-a caller's gradient block, so a training loop makes no (k, P) temporary per
-step, and it returns nothing: no round reads a loss value, so none is
-computed.  It keeps its name because perfbench times it under that name.
+each row in place by bitwise the single-model update, one layer at a time
+from a gradient block it sizes itself, so a training loop makes no (k, P)
+temporary per step.  It returns nothing: no round reads a loss value, so none
+is computed.  It keeps its name because perfbench times it under that name.
 ``predict_proba`` runs the same forward loop on a stack of one.
 """
 
@@ -25,6 +25,15 @@ import numpy as np
 from .errors import ConfigError, DimensionError
 
 MODEL_KINDS = ("logistic", "mlp1")
+
+# Bytes of the weight-gradient block loss_and_grad forms at a time: a layer's
+# gradient for as many models as fit in this, at least one.  1 MiB holds one
+# model's 100 x 1000 first layer at P = 105004, which stays in L2 beside the
+# rows it updates.  On wide_model inputs local_train took 0.64x the time of
+# 4 MiB (5 models per block), 0.84-0.87x at 2 and 3 models and 1.06-1.09x at
+# all 10 (median ratios of 40 interleaved repeats, two runs, 2 cores).  It
+# never splits a layer of the 84-parameter logistic model.
+GRAD_BYTES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -45,11 +54,6 @@ class ModelSpec:
     @property
     def param_count(self) -> int:
         return sum(math.prod(shape) for shape in self.layer_shapes())
-
-    @property
-    def largest_layer(self) -> int:
-        """Entries of the largest layer: one model's share of a gradient block."""
-        return max(math.prod(shape) for shape in self.layer_shapes())
 
     def layer_shapes(self) -> list[tuple[int, ...]]:
         q, c, h = self.input_dim, self.class_count, self.hidden_dim
@@ -90,7 +94,7 @@ def predict_proba(spec: ModelSpec, flat: np.ndarray, features: np.ndarray) -> np
 
 
 def loss_and_grad(spec: ModelSpec, flat: np.ndarray, features: np.ndarray,
-                  labels: np.ndarray, lr: float, scratch: np.ndarray) -> None:
+                  labels: np.ndarray, lr: float) -> None:
     """One SGD step of each model in place on its mean softmax cross-entropy.
 
     ``flat`` is a writeable C-contiguous float64 (k, P) stack, ``features``
@@ -99,10 +103,11 @@ def loss_and_grad(spec: ModelSpec, flat: np.ndarray, features: np.ndarray,
     returned, and no loss is computed.  The name is older than that and stays
     because perfbench times the step as ``models.loss_and_grad``.  Layers are
     stepped from the top down, and the delta passed below a layer is formed
-    from its weights before they move.  A weight gradient is formed for as
-    many models at a time as the 1-D float64 ``scratch`` holds, scaled by
-    ``lr`` and subtracted, so no (k, P) gradient exists; a bias gradient, no
-    larger than an activation, is stepped the same way from one (k, h) array.
+    from its weights before they move.  A layer's weight gradient is formed
+    for ``max(1, GRAD_BYTES // (8 * size))`` models at a time in one block,
+    scaled by ``lr`` and subtracted, so no (k, P) gradient exists and at most
+    one block is alive; a bias gradient, no larger than an activation, is
+    stepped the same way from one (k, h) array.
     Every product is a per-model matmul (``X @ W.transpose(0, 2, 1)``, never
     ``(W @ X^T)^T``), so row i is bitwise what the same op sequence gives on
     model i alone.
@@ -111,9 +116,6 @@ def loss_and_grad(spec: ModelSpec, flat: np.ndarray, features: np.ndarray,
             or not flat.flags.writeable):
         raise DimensionError(f"flat must be a writeable C-contiguous float64 (k, P) array, "
                              f"got shape {flat.shape}, dtype {flat.dtype}")
-    if scratch.ndim != 1 or scratch.dtype != np.float64:
-        raise DimensionError(f"scratch must be a 1-D float64 array, got shape "
-                             f"{scratch.shape}, dtype {scratch.dtype}")
     layers = unpack(spec, flat)
     inputs = _forward(layers, features)
     # the output delta (softmax - onehot) / b, formed in place on the logits
@@ -130,14 +132,14 @@ def loss_and_grad(spec: ModelSpec, flat: np.ndarray, features: np.ndarray,
         # back through the ReLU: its output is > 0 exactly where its input was
         below = (delta @ weights) * (inputs[i] > 0.0) if i else None
         size = weights.shape[1] * weights.shape[2]
-        block = scratch.size // size  # models whose weight gradient fits
-        if not block:
-            raise DimensionError(f"scratch of {scratch.size} entries holds no "
-                                 f"{weights.shape[1:]} weight gradient")
+        block = max(1, GRAD_BYTES // (8 * size))  # models whose weight gradient fits
+        # g is the one name of this layer's block (the last part holds the
+        # models left), so rebinding it to the bias gradient frees the block
+        # before the next layer allocates its own
+        g = np.empty((min(block, len(flat)), *weights.shape[1:]))
         for at in range(0, len(flat), block):
-            g = scratch[:min(block, len(flat) - at) * size]
-            np.matmul(delta[at:at + block].transpose(0, 2, 1), inputs[i][at:at + block],
-                      out=g.reshape(-1, *weights.shape[1:]))
+            g = g[:len(flat) - at]
+            np.matmul(delta[at:at + block].transpose(0, 2, 1), inputs[i][at:at + block], out=g)
             g *= lr  # bitwise lr * g: IEEE products commute
             # a (models, size) view: an in-place ufunc on the strided (k, h, q)
             # view would copy it first

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from dosfl import cli
+from dosfl.aggregators import AggregatorSpec
 from dosfl.attacks import Crafted, GaussianNoise, LabelFlip, Scale
 from dosfl.cli import main
 from dosfl.config import (
@@ -22,6 +23,7 @@ from dosfl.config import (
 )
 from dosfl.errors import ConfigError
 from dosfl.harness import run_experiment
+from dosfl.models import ModelSpec
 
 from .oracles import copod_scores_oracle
 
@@ -174,9 +176,30 @@ def test_custom_entries_require_custom_mode():
     lambda: ExperimentConfig(clients=900),
     lambda: ExperimentConfig(attack="custom",
                              custom_plan=((1, "label_flip(source=0,target=7)"),)),
+    lambda: ExperimentConfig(attack="custom", custom_plan=((1, "noise(sigma=1"),)),
+    lambda: ExperimentConfig(attack="custom", custom_plan=((1, "none(sigma=1)"),)),
+    lambda: ExperimentConfig(attack="custom", custom_plan=((1, "noise(1.0)"),)),
+    lambda: expand_groups([("noise", 0.75), ("noise", 0.75)], 2),
+    lambda: TrainConfig(local_steps=0),
+    lambda: TrainConfig(batch_size=0),
+    lambda: TrainConfig(rounds=-1),
+    lambda: ExperimentConfig(samples_per_class=0),
+    lambda: ExperimentConfig(test_per_class=0),
+    lambda: ExperimentConfig(clients=2, attack="custom",
+                             custom_plan=((0, "noise"), (1, "noise"))),
+    lambda: parse_config_text("clients 4\n"),
+    lambda: ModelSpec(kind="cnn"),
+    lambda: ModelSpec(input_dim=0),
+    lambda: ModelSpec(class_count=1),
+    lambda: ModelSpec(kind="mlp1", hidden_dim=0),
+    lambda: AggregatorSpec(kind="krum", krum_f=-1),
 ], ids=["clients", "attack", "custom_plan", "replace_seed", "learning_rate_nan",
         "learning_rate_inf", "class_separation_inf", "skew_alpha_nan", "skew_alpha_zero",
-        "clients_over_samples", "label_flip_class"])
+        "clients_over_samples", "label_flip_class", "kind_unparsed", "none_with_arguments",
+        "kind_argument_not_key_value", "groups_over_clients", "local_steps", "batch_size",
+        "rounds", "samples_per_class", "test_per_class", "no_honest_client",
+        "line_not_key_value", "model_kind", "input_dim", "class_count", "hidden_dim",
+        "krum_f"])
 def test_invalid_config_raises_at_construction(build):
     with pytest.raises(ConfigError):
         build()
@@ -485,6 +508,7 @@ def test_sweep_configs_name_their_noise_clients(tmp_path, monkeypatch, param, va
 
 
 @pytest.mark.parametrize("param,value", [("malicious_fraction", "-0.1"),
+                                         ("malicious_fraction", "0.99"),  # no honest client
                                          ("client_count", "1"),
                                          ("malicious_fraction", "abc"),
                                          ("client_count", "2.5")])
@@ -528,6 +552,27 @@ def test_copod_score_single_row_rejected(tmp_path):
     path = tmp_path / "m.csv"
     path.write_text("1,2,3\n")
     assert main(["copod", "score", "--input", str(path)]) == 2
+
+
+@pytest.mark.parametrize("text,message", [(None, "cannot read"), ("", "empty matrix"),
+                                          ("\n\n", "empty matrix")],
+                         ids=["missing", "empty", "blank_lines"])
+def test_copod_score_rejects_unreadable_or_empty_input(tmp_path, capsys, text, message):
+    path = tmp_path / "m.csv"
+    if text is not None:
+        path.write_text(text)
+    assert main(["copod", "score", "--input", str(path)]) == 2
+    assert message in capsys.readouterr().err
+
+
+def test_copod_score_skips_blank_lines(tmp_path, capsys):
+    path = tmp_path / "m.csv"
+    path.write_text("0\n0\n0\n10\n")
+    main(["copod", "score", "--input", str(path)])
+    plain = capsys.readouterr().out
+    path.write_text("0\n\n0\n0\n\n10\n")
+    assert main(["copod", "score", "--input", str(path)]) == 0
+    assert capsys.readouterr().out == plain
 
 
 def test_copod_score_ragged_named_location(tmp_path, capsys):

@@ -146,6 +146,8 @@ def test_copod_peak_memory_is_four_score_matrices():
 
 
 def test_copod_rejects_bad_input():
+    with pytest.raises(ConfigError, match="2-D"):
+        copod_scores(np.zeros(3))
     with pytest.raises(ConfigError):
         copod_scores(np.zeros((1, 3)))
     with pytest.raises(NumericError):

@@ -1,10 +1,11 @@
+import math
 import tracemalloc
 import weakref
 
 import numpy as np
 import pytest
 
-from dosfl import harness
+from dosfl import harness, models
 from dosfl.aggregators import AGGREGATOR_KINDS, AggregatorSpec
 from dosfl.config import ExperimentConfig, TrainConfig
 from dosfl.data import (
@@ -14,7 +15,7 @@ from dosfl.data import (
     partition_iid,
     partition_label_skew,
 )
-from dosfl.errors import ConfigError, DimensionError, ExperimentError
+from dosfl.errors import ConfigError, DimensionError, ExperimentError, NumericError
 from dosfl.harness import (
     Metrics,
     evaluate,
@@ -94,6 +95,18 @@ def test_partition_iid_needs_enough_samples():
     ds = generate_synthetic(2, 3, 2, 1.0, rng_of(11))  # 4 samples
     with pytest.raises(ConfigError):
         partition_iid(ds, 5, rng_of(12))
+
+
+@pytest.mark.parametrize("features,labels,error", [
+    (np.zeros(3), [0, 1, 0], ConfigError),
+    (np.zeros((0, 2)), np.zeros(0, dtype=int), ConfigError),
+    (np.zeros((3, 2)), [0, 1], ConfigError),
+    (np.array([[0.0, np.inf], [1.0, 1.0], [2.0, 2.0]]), [0, 1, 0], NumericError),
+    (np.zeros((3, 2)), [0, 1, 2], ConfigError),
+], ids=["features_1d", "no_samples", "labels_shape", "features_inf", "label_range"])
+def test_labeled_dataset_rejects_bad_input(features, labels, error):
+    with pytest.raises(error):
+        LabeledDataset(features=features, labels=np.asarray(labels), class_count=2)
 
 
 def test_label_skew_concentration_limit():
@@ -180,50 +193,46 @@ def test_batched_training_single_client(kind):
 
 
 @pytest.mark.parametrize("kind", ["logistic", "mlp1"])
-def test_loss_and_grad_writes_into_out(kind):
-    # a stepped stack is bitwise each row stepped alone, whether the scratch
-    # holds one model's largest layer or all three; the step writes only the
-    # stack and the scratch, and returns nothing
+def test_loss_and_grad_writes_into_out(monkeypatch, kind):
+    # a stepped stack is bitwise each row stepped alone, whether the gradient
+    # block holds one model's largest layer or all three; the step writes
+    # only the stack, and returns nothing
     spec = ModelSpec(kind=kind, input_dim=5, class_count=3, hidden_dim=6)
-    largest = spec.largest_layer
+    largest = max(math.prod(shape) for shape in spec.layer_shapes())
     rng = rng_of(33)
     flat = rng.standard_normal((3, spec.param_count))
     features = rng.standard_normal((3, 7, 5))  # a different batch per model
     labels = rng.integers(0, 3, size=(3, 7))
     inputs = features.tobytes(), labels.tobytes()
     for block in (1, 3):
+        monkeypatch.setattr(models, "GRAD_BYTES", block * largest * 8)
         stack = flat.copy()
-        assert loss_and_grad(spec, stack, features, labels, 0.3,
-                             np.empty(block * largest)) is None
+        assert loss_and_grad(spec, stack, features, labels, 0.3) is None
         assert (features.tobytes(), labels.tobytes()) == inputs
         assert not np.array_equal(stack, flat)
         for i in range(3):
             one = flat[i:i + 1].copy()
-            loss_and_grad(spec, one, features[i:i + 1], labels[i:i + 1], 0.3, np.empty(largest))
+            loss_and_grad(spec, one, features[i:i + 1], labels[i:i + 1], 0.3)
             assert one.tobytes() == stack[i].tobytes()
 
 
 def test_loss_and_grad_rejects_out_it_cannot_fill():
     spec = ModelSpec(kind="logistic", input_dim=2, class_count=2)
     features, labels = np.zeros((2, 3, 2)), np.zeros((2, 3), dtype=int)
-    scratch = np.empty(spec.param_count)
     read_only = np.zeros((2, spec.param_count))
     read_only.flags.writeable = False
     for flat in (np.zeros((2, spec.param_count), np.float32),
                  np.zeros((spec.param_count, 2)).T, read_only):
         with pytest.raises(DimensionError, match="flat"):
-            loss_and_grad(spec, flat, features, labels, 0.1, scratch)
+            loss_and_grad(spec, flat, features, labels, 0.1)
     with pytest.raises(DimensionError, match=r"\(k, P\)"):  # one model is a stack of one
-        loss_and_grad(spec, np.zeros(spec.param_count), features[0], labels[0], 0.1, scratch)
-    with pytest.raises(DimensionError, match="scratch"):  # less than one model's largest layer
-        loss_and_grad(spec, np.zeros((2, spec.param_count)), features, labels, 0.1,
-                      np.empty(3))
+        loss_and_grad(spec, np.zeros(spec.param_count), features[0], labels[0], 0.1)
 
 
 def test_local_train_peak_memory_is_two_parameter_matrices():
     # P = 32131 is far above batch x hidden = 128, so per-step (n, P)
     # temporaries would dominate the peak; the bound leaves room for the
-    # parameter matrix, the step's scratch and the concatenated shards.
+    # parameter matrix, the step's gradient block and the concatenated shards.
     spec = ModelSpec(kind="mlp1", input_dim=1000, class_count=3, hidden_dim=32)
     ds = generate_synthetic(3, 1000, 24, 3.0, rng_of(34))
     shards = partition_iid(ds, 4, rng_of(35))
@@ -248,21 +257,20 @@ def test_training_in_gradient_blocks_matches_per_client_loop(monkeypatch, kind, 
     # the budget binding, the largest layer's gradient is formed ``block``
     # clients at a time.
     spec, params, shards = _training_case(kind, "label_skew", 6)
-    largest = spec.largest_layer
-    monkeypatch.setattr(harness, "GRAD_BYTES", block * largest * 8)
+    largest = max(math.prod(shape) for shape in spec.layer_shapes())
+    monkeypatch.setattr(models, "GRAD_BYTES", block * largest * 8)
     calls = []
     loss_and_grad_ = harness.loss_and_grad
 
-    def recording(model, flat, features, labels, lr, scratch):
-        calls.append((len(flat), scratch.size))
-        return loss_and_grad_(model, flat, features, labels, lr, scratch)
+    def recording(model, flat, features, labels, lr):
+        calls.append(len(flat))
+        return loss_and_grad_(model, flat, features, labels, lr)
 
     monkeypatch.setattr(harness, "loss_and_grad", recording)
     cfg = TrainConfig(learning_rate=0.3, local_steps=2, batch_size=4, rounds=1)
     rngs = [None if i == 3 else rng_of(40 + i) for i in range(len(shards))]
     out = local_train(spec, params, shards, cfg, rngs)
-    assert {size for _, size in calls} == {block * largest}
-    assert max(k for k, _ in calls) == 5 > block
+    assert max(calls) == 5 > block
     assert out[3].tobytes() == params.tobytes()
     for i, shard in enumerate(shards):
         if i != 3:
@@ -272,7 +280,7 @@ def test_training_in_gradient_blocks_matches_per_client_loop(monkeypatch, kind, 
 
 def test_local_train_peak_memory_is_one_matrix_and_the_gradient_budget():
     # The wide_model shape: GRAD_BYTES binds at one client's 100 x 1000 layer,
-    # so the scratch is one layer block.  Beside it the bound counts the
+    # so the gradient block is one client's layer.  Beside it the bound counts the
     # (n, P) matrix, the concatenated shards and the forward activations:
     # three (k, b, q + h + c) arrays cover the layer inputs and the deltas
     # of a step.  A (block, P) gradient buffer, or any second (n, P) array,
@@ -282,7 +290,7 @@ def test_local_train_peak_memory_is_one_matrix_and_the_gradient_budget():
     shards = partition_iid(ds, 10, rng_of(39))
     params = init_params(spec, rng_of(40))
     layer_bytes = 100 * 1000 * 8
-    assert harness.GRAD_BYTES // layer_bytes == 1
+    assert models.GRAD_BYTES // layer_bytes == 1
     cfg = TrainConfig(learning_rate=0.1, local_steps=1, batch_size=4, rounds=1)
     shard_bytes = sum(s.features.nbytes + s.labels.nbytes for s in shards)
     activation_bytes = 3 * 10 * cfg.batch_size * (100 + 1000 + 4) * 8
@@ -293,6 +301,28 @@ def test_local_train_peak_memory_is_one_matrix_and_the_gradient_budget():
     finally:
         tracemalloc.stop()
     assert peak <= 10 * params.nbytes + layer_bytes + activation_bytes + shard_bytes
+
+
+def test_loss_and_grad_holds_one_gradient_block():
+    # The wide_model shape again, one step of 10 models on batches of 4.  At
+    # its peak the step holds the hidden activations and the delta below the
+    # top layer, two (k, b, h) arrays, beside the first layer's 800 KB block;
+    # the bound adds two (k, h) arrays for the bias gradient and the step's
+    # small arrays.  The top layer's (k, c, h) block still alive then would
+    # add 320 KB and exceed it.
+    spec = ModelSpec(kind="mlp1", input_dim=100, class_count=4, hidden_dim=1000)
+    rng = rng_of(42)
+    k, b, h = 10, 4, 1000
+    stack = rng.standard_normal((k, spec.param_count)) * 0.05
+    features = rng.standard_normal((k, b, 100))
+    labels = rng.integers(0, 4, size=(k, b))
+    tracemalloc.start()
+    try:
+        loss_and_grad(spec, stack, features, labels, 0.1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * k * b * h * 8 + 100 * h * 8 + 2 * k * h * 8
 
 
 def test_local_train_rejects_wrong_param_count():
@@ -306,7 +336,7 @@ def _fd_max_rel_err(spec, params, feats, labels, step=1e-5):
     # the step's gradient is theta - theta' after one step at lr = 1 of a
     # stack of one; the differenced objective is the reference's
     stepped = params[None].copy()
-    loss_and_grad(spec, stepped, feats[None], labels[None], 1.0, np.empty(spec.param_count))
+    loss_and_grad(spec, stepped, feats[None], labels[None], 1.0)
     grad = params - stepped[0]
     worst = 0.0
     for j in range(params.size):
@@ -440,6 +470,25 @@ def test_evaluate_auc_equals_pair_counting_oracle(case):
         assert m.pairwise_auc == pairwise
         if case == "constant":
             assert macro == pairwise == 0.5
+
+
+@pytest.mark.parametrize("column,row_class,ranked", [(0, 0, True), (0, 2, True),
+                                                     (3, 0, False)],
+                         ids=["own_class", "other_class", "absent_class"])
+def test_nan_score_makes_the_aucs_that_rank_it_nan(monkeypatch, column, row_class, ranked):
+    # classes 0-2 of 4 are present: a NaN in column k is ranked by class k's
+    # one-vs-rest AUC and its pairs, so by both means, unless k is absent
+    labels = np.repeat([0, 1, 2], 5)
+    proba = rng_of(61).uniform(size=(15, 4))
+    test = LabeledDataset(features=np.zeros((15, 2)), labels=labels, class_count=4)
+    monkeypatch.setattr(harness, "predict_proba", lambda model, params, features: proba)
+    clean = evaluate(ModelSpec(), None, test)
+    proba[np.flatnonzero(labels == row_class)[0], column] = np.nan
+    m = evaluate(ModelSpec(), None, test)
+    assert m.skipped_classes == (3,)
+    assert np.isnan(m.macro_auc) == np.isnan(m.pairwise_auc) == ranked
+    if not ranked:
+        assert (m.macro_auc, m.pairwise_auc) == (clean.macro_auc, clean.pairwise_auc)
 
 
 def test_random_scores_near_half_auc():

@@ -176,6 +176,8 @@ def test_softmax_weights_sum_and_positivity():
 def test_softmax_rejects_nonfinite():
     with pytest.raises(NumericError):
         softmax_weights([1.0, np.nan])
+    with pytest.raises(DimensionError, match="1-D"):
+        softmax_weights([[1.0, 2.0]])
 
 
 def test_weighted_average_identical_updates():
