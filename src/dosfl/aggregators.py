@@ -20,11 +20,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial.distance import pdist, squareform
 
 from .copod import copod_scores
 from .errors import ConfigError
-from .params import pairwise_distances, softmax_weights, weighted_average
+from .params import pairwise_distances, softmax_weights, squared_distances, weighted_average
 
 AGGREGATOR_KINDS = ("dos", "fedavg", "median", "trimmed_mean", "krum")
 
@@ -217,9 +216,10 @@ def krum_select(sq: np.ndarray, f: int) -> int:
 
 
 def aggregate_krum(mat: np.ndarray, f: int) -> AggregationResult:
-    """Select one row with :func:`krum_select`, in row order, over
-    ``pdist``'s squared distances: O(n^2 + n*d) memory, no (n, n, d) tensor."""
-    pick = krum_select(squareform(pdist(mat, "sqeuclidean")), f)
+    """Select one row with :func:`krum_select`, in row order, over the
+    squared distances of :func:`params.squared_distances`: O(n^2 + n*d)
+    memory, no (n, n, d) tensor."""
+    pick = krum_select(squared_distances(mat), f)
     weights = np.zeros(mat.shape[0])
     weights[pick] = 1.0
     return AggregationResult(new_global=mat[pick].copy(), weights=weights)

@@ -19,12 +19,11 @@ from dataclasses import dataclass, field
 from typing import Callable, Union
 
 import numpy as np
-from scipy.spatial.distance import pdist, squareform
 
 from .aggregators import krum_select
 from .data import LabeledDataset
 from .errors import ConfigError
-from .params import stack_updates
+from .params import squared_distances, stack_updates
 
 
 @dataclass(frozen=True)
@@ -173,7 +172,9 @@ def attack_crafted(global_prev: np.ndarray, rows: np.ndarray, kind: Crafted,
     transmits c(lam) plus Normal(0, (0.01*lam)^2) jitter so the copies are not
     exact duplicates.
 
-    ``rows`` is an (m, d) float64 array, overwritten in place and returned:
+    ``rows`` is a C-contiguous (m, d) float64 array, as
+    :func:`params.squared_distances` needs for the honest rows' distances,
+    overwritten in place and returned:
     row i ends as colluder i's vector, drawn from ``rngs[i]``.  Beside it the
     call holds O(d) vectors.
     """
@@ -206,7 +207,7 @@ def _crafted_lambda(global_prev: np.ndarray, rows: np.ndarray, direction: np.nda
     offsets g - h_j, one 2-D array: a per-row einsum differs from the 2-D one
     in the last bits at d = 105004.
     """
-    honest_sq = np.pad(squareform(pdist(rows, "sqeuclidean")), (1, 0))
+    honest_sq = np.pad(squared_distances(rows), (1, 0))
     offsets = np.subtract(global_prev, rows, out=rows)
     # einsum, not BLAS: small threaded products can stall
     base = np.einsum("ij,ij->i", offsets, offsets)

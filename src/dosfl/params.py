@@ -5,20 +5,78 @@ Between local training and aggregation a round's updates exist only as an
 The harness owns that one matrix per round: training allocates it, attacks
 overwrite their rows in it, and it is freed before the next round trains.
 :func:`stack_updates` is the one place it is checked, and it returns a
-float64 matrix uncopied; the kernels here and every aggregation rule take it
+C-contiguous float64 matrix uncopied; the kernels here and every aggregation rule take it
 as given and return no view of it.  All functions here are pure; matrix rows
 and columns are always ordered by client index.
+
+The distance kernels live here alone: scipy's compiled ``pdist`` loops and
+its condensed-to-square copy, loaded from their two extension files in
+scipy's ``spatial/`` directory.  Neither file needs the ``scipy.spatial``
+package, whose import took 0.4 s and 36 MB (scipy 1.17.1, 2-core Xeon), so
+no ``scipy`` module is imported.  They give the bits of
+``scipy.spatial.distance.pdist`` and ``squareform``.
 """
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
+from pathlib import Path
+
 import numpy as np
-from scipy.spatial.distance import pdist, squareform
 
 from .errors import ConfigError, DimensionError, NumericError
 
 # How far a weight vector's sum may stray from 1 before check_weights rejects it.
 WEIGHT_SUM_TOL = 1e-9
+
+# The functions taken from each of scipy's distance extensions in spatial/.
+_KERNEL_NAMES = {
+    "_distance_pybind": ("pdist_euclidean", "pdist_sqeuclidean"),
+    "_distance_wrap": ("pdist_cosine_double_wrap", "to_squareform_from_vector_wrap"),
+}
+
+
+def _load_distance_kernels(directory: Path) -> dict:
+    """The functions of ``_KERNEL_NAMES``, by name, from the extension files
+    in ``directory``.  A file is loaded under this module's name, not
+    scipy's, and not entered in ``sys.modules``.  A missing file or function
+    raises ImportError naming it."""
+    kernels = {}
+    for stem, names in _KERNEL_NAMES.items():
+        paths = [directory / (stem + suffix) for suffix in importlib.machinery.EXTENSION_SUFFIXES]
+        path = next((p for p in paths if p.is_file()), None)
+        if path is None:
+            raise _missing_kernel(f"extension file {paths[0].name} in {directory}")
+        spec = importlib.util.spec_from_file_location(f"{__name__}.{stem}", path)
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        for name in names:
+            if not hasattr(module, name):
+                raise _missing_kernel(f"function {name} in {path}")
+            kernels[name] = getattr(module, name)
+    return kernels
+
+
+def _missing_kernel(what: str) -> ImportError:
+    from importlib.metadata import PackageNotFoundError, version
+    try:
+        installed = f"scipy {version('scipy')}"
+    except PackageNotFoundError:
+        installed = "no scipy"
+    return ImportError(f"dosfl needs scipy's compiled distance kernels: no {what} "
+                       f"({installed} installed)")
+
+
+def _scipy_spatial_dir() -> Path:
+    """Found without running scipy's ``__init__``."""
+    spec = importlib.util.find_spec("scipy")
+    if spec is None:
+        raise _missing_kernel("scipy package")
+    return Path(spec.submodule_search_locations[0]) / "spatial"
+
+
+_KERNELS = _load_distance_kernels(_scipy_spatial_dir())
 
 
 def stack_updates(rows) -> np.ndarray:
@@ -26,13 +84,14 @@ def stack_updates(rows) -> np.ndarray:
 
     Raises unless there is at least one row, every row is 1-D of one non-zero
     length, and every entry is finite; the error names the offending clients.
-    A float64 (n, d) matrix passes through as the same object, uncopied.  The
-    rows are walked one by one only when numpy cannot stack them.
+    The result is C-contiguous float64, as the distance kernels need; such an
+    (n, d) matrix passes through as the same object, uncopied.  The rows are
+    walked one by one only when numpy cannot stack them.
     """
     if len(rows) == 0:
         raise ConfigError("no client updates given")
     try:
-        mat = np.asarray(rows, dtype=np.float64)
+        mat = np.asarray(rows, dtype=np.float64, order="C")
     except ValueError:
         # name the clients whose rows differ in shape from row 0; if none
         # does, the error is numpy's own (an entry that is not a number)
@@ -58,15 +117,16 @@ def pairwise_distances(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Compute the n x n Euclidean and cosine distance matrices of the rows
     of a round's update matrix, returned in that order.
 
-    Both come from ``scipy.spatial.distance.pdist``, which loops over the row
-    pairs in C without a BLAS call or an (n, n, d) temporary.  Both matrices
+    Both come from scipy's ``pdist`` kernels, which loop over the row pairs
+    in C without a BLAS call or an (n, n, d) temporary, so ``mat`` must be
+    C-contiguous float64, as :func:`stack_updates` returns it.  Both matrices
     are symmetric with an exactly zero diagonal.  The cosine distance
     1 - cos(a, b) lies in [0, 2]; a row whose norm is 0, including one whose
     squared entries underflow, is orthogonal to every other row (distance
     1.0), which keeps the matrix finite when an attack or initialization
     produces an all-zero update.  Any other pair at Euclidean distance
     exactly 0 is at cosine distance exactly 0.  Rows whose squared norms
-    could overflow are scaled by 2**-e for ``pdist`` and the Euclidean
+    could overflow are scaled by 2**-e for the kernels and the Euclidean
     distances by 2**e back, so finite rows give finite distances.
     """
     n = mat.shape[0]
@@ -79,10 +139,10 @@ def pairwise_distances(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         e = int(np.frexp(np.abs(mat).max())[1])
         mat = np.ldexp(mat, -e)  # entries below 1 in magnitude
         sq_norms = np.einsum("ij,ij->i", mat, mat)
-    euc = squareform(pdist(mat, "euclidean"))
-    cos = squareform(pdist(mat, "cosine"))  # NaN or arbitrary on zero-norm rows, reset below
+    euc = _distance_matrix(mat, "euclidean")
+    cos = _distance_matrix(mat, "cosine")  # NaN or arbitrary on zero-norm rows, reset below
     # Equal rows are at Euclidean distance 0, and so is a pair whose squared
-    # differences all underflow, an angle too small for pdist's cosine to hold.
+    # differences all underflow, an angle too small for the cosine kernel to hold.
     cos[euc == 0.0] = 0.0
     zero_norm = sq_norms == 0.0
     cos[zero_norm, :] = 1.0
@@ -91,6 +151,31 @@ def pairwise_distances(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     if e:
         np.ldexp(euc, e, out=euc)
     return euc, cos
+
+
+def squared_distances(mat: np.ndarray) -> np.ndarray:
+    """The (n, n) squared Euclidean distances between the rows of a
+    C-contiguous float64 (n, d) matrix, in O(n^2 + n*d) memory."""
+    return _distance_matrix(mat, "sqeuclidean")
+
+
+def _distance_matrix(mat: np.ndarray, metric: str) -> np.ndarray:
+    """The square matrix of scipy's ``pdist`` over ``mat``, bit for bit, for
+    metric "euclidean", "sqeuclidean" or "cosine".  The cosine kernel and the square
+    copy read their buffers as C-contiguous float64 whatever the strides, so
+    any other ``mat`` is refused rather than misread."""
+    if mat.dtype != np.float64 or not mat.flags.c_contiguous:
+        raise ConfigError(f"distance kernels need a C-contiguous float64 matrix, got {mat.dtype} "
+                          f"with strides {mat.strides}")
+    n = mat.shape[0]
+    condensed = np.empty(n * (n - 1) // 2)
+    if metric == "cosine":
+        _KERNELS["pdist_cosine_double_wrap"](mat, condensed)
+    else:
+        _KERNELS[f"pdist_{metric}"](mat, out=condensed)
+    square = np.zeros((n, n))
+    _KERNELS["to_squareform_from_vector_wrap"](square, condensed)
+    return square
 
 
 def softmax_weights(scores) -> np.ndarray:

@@ -1,14 +1,22 @@
+import ast
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy
 from scipy.spatial.distance import pdist, squareform
 
+from dosfl import params
 from dosfl.aggregators import aggregate_dos
 from dosfl.errors import ConfigError, DimensionError, NumericError
 from dosfl.params import (
     pairwise_distances,
     softmax_weights,
+    squared_distances,
     stack_updates,
     weighted_average,
 )
@@ -135,6 +143,121 @@ def test_pairwise_distances_of_rows_near_overflow_are_finite():
     assert euclidean[0, 1] == 0.0 and cosine[0, 1] == 0.0
     weights = aggregate_dos(mat).weights
     assert np.all(np.isfinite(weights)) and weights.sum() == pytest.approx(1.0)
+
+
+def awkward_rows(n: int, d: int, kind: str) -> np.ndarray:
+    """A C-contiguous (n, d) float64 matrix of normal rows, with the rows that
+    the distance kernels could treat differently: the last row all zero,
+    row 1 a duplicate of row 0 and row 2 subnormal, where n leaves room."""
+    rng = np.random.default_rng([n, d, len(kind)])
+    mat = rng.standard_normal((n, d))
+    if kind == "overflow":  # squared norms past max / 8: pairwise_distances' ldexp path
+        mat = np.where(mat < 0.0, -1e154, 1e154) * rng.uniform(0.5, 1.0, (n, d))
+    elif kind != "plain":
+        mat *= float(kind)
+    mat[-1] = 0.0
+    if n >= 3:
+        mat[1] = mat[0]
+    if n >= 4:
+        mat[2] = np.ldexp(rng.integers(-3, 4, d).astype(np.float64), -1074)
+    return mat
+
+
+def assert_same_bytes(got: np.ndarray, expected: np.ndarray) -> None:
+    assert got.dtype == expected.dtype and got.shape == expected.shape
+    assert got.tobytes() == expected.tobytes()
+
+
+def scipy_distance_matrix(mat: np.ndarray, metric: str) -> np.ndarray:
+    return squareform(pdist(mat, metric))
+
+
+@pytest.mark.parametrize("kind", ["plain", "1e150", "1e-150", "overflow"])
+@pytest.mark.parametrize("d", [1, 84, 5000])
+@pytest.mark.parametrize("n", [2, 3, 10, 200])
+def test_distance_kernels_give_scipys_bytes(n, d, kind, monkeypatch):
+    mat = awkward_rows(n, d, kind)
+    for metric in ("euclidean", "sqeuclidean", "cosine"):
+        assert_same_bytes(params._distance_matrix(mat, metric), scipy_distance_matrix(mat, metric))
+    assert_same_bytes(squared_distances(mat), scipy_distance_matrix(mat, "sqeuclidean"))
+    got = pairwise_distances(mat)
+    # pairwise_distances' own rules, around scipy's public functions
+    monkeypatch.setattr(params, "_distance_matrix", scipy_distance_matrix)
+    for matrix, expected in zip(got, pairwise_distances(mat)):
+        assert_same_bytes(matrix, expected)
+
+
+def test_squared_distances_of_one_row_is_zero():
+    assert_same_bytes(squared_distances(np.ones((1, 5))), squareform(pdist(np.ones((1, 5)))))
+
+
+@pytest.mark.parametrize("mat", [np.ones((3, 4), order="F"), np.ones((3, 8))[:, ::2],
+                                 np.ones((3, 4), dtype=np.float32)],
+                         ids=["fortran", "strided", "float32"])
+def test_distance_kernels_refuse_what_they_would_misread(mat):
+    with pytest.raises(ConfigError, match="C-contiguous float64"):
+        squared_distances(mat)
+    with pytest.raises(ConfigError, match="C-contiguous float64"):
+        pairwise_distances(mat)
+
+
+def test_stack_updates_makes_the_matrix_c_contiguous():
+    mat = np.arange(12.0).reshape(3, 4, order="F")
+    stacked = stack_updates(mat)
+    assert stacked.flags.c_contiguous
+    np.testing.assert_array_equal(stacked, mat)
+
+
+def test_kernel_loader_names_the_missing_file_and_scipys_version(tmp_path):
+    with pytest.raises(ImportError, match="_distance_pybind") as caught:
+        params._load_distance_kernels(tmp_path)
+    assert f"scipy {scipy.__version__}" in str(caught.value)
+
+
+def test_kernel_loader_names_a_missing_function(monkeypatch):
+    monkeypatch.setitem(params._KERNEL_NAMES, "_distance_wrap", ("no_such_kernel",))
+    with pytest.raises(ImportError, match="no_such_kernel") as caught:
+        params._load_distance_kernels(params._scipy_spatial_dir())
+    assert f"scipy {scipy.__version__}" in str(caught.value)
+
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def scipy_imports(path: Path) -> list[str]:
+    """Every module of scipy that the file imports, at any depth."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        names = ([alias.name for alias in node.names] if isinstance(node, ast.Import)
+                 else [node.module or ""] if isinstance(node, ast.ImportFrom) and not node.level
+                 else [])
+        found += [f"{path.name}: {name}" for name in names if name.split(".")[0] == "scipy"]
+    return found
+
+
+# Imports the package and CLI, runs 2 rounds of DOS, Krum and the median under
+# the attacks that reach every distance kernel, and prints the scipy modules loaded.
+RUN_AND_LIST_SCIPY_MODULES = """
+import sys
+from dataclasses import replace
+import dosfl, dosfl.cli
+from dosfl.aggregators import AggregatorSpec
+from dosfl.config import ExperimentConfig, TrainConfig
+from dosfl.harness import run_experiment
+base = ExperimentConfig(train=TrainConfig(rounds=2))
+for rule, attack in [("dos", "crafted_40"), ("krum", "crafted_40"), ("median", "noise_40")]:
+    run_experiment(replace(base, attack=attack, aggregator=AggregatorSpec(kind=rule)))
+print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+"""
+
+
+def test_no_scipy_module_is_imported_or_run():
+    assert [hit for path in sorted(SRC.rglob("*.py")) for hit in scipy_imports(path)] == []
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    proc = subprocess.run([sys.executable, "-c", RUN_AND_LIST_SCIPY_MODULES], env=env,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_pairwise_needs_two_updates():
