@@ -75,6 +75,10 @@ class Crafted:
             raise ConfigError(f"lambda_init must be finite and > 0, got {self.lambda_init}")
         if self.halving_steps < 0:
             raise ConfigError(f"halving_steps must be >= 0, got {self.halving_steps}")
+        # the last candidate, lambda_init * 2.0 ** -k as attack_crafted computes it,
+        # must not be 0.0; it is for every k >= 1075, and min() keeps a huge k finite
+        if self.lambda_init * 2.0 ** -min(self.halving_steps, 1075) == 0.0:
+            raise ConfigError(f"halving_steps={self.halving_steps} halves lambda_init to 0")
 
 
 AttackKind = Union[GaussianNoise, Scale, LabelFlip, Crafted]
@@ -176,12 +180,9 @@ def attack_crafted(global_prev: np.ndarray, rows: np.ndarray, kind: Crafted,
     :func:`params.squared_distances` needs for the honest rows' distances,
     overwritten in place and returned:
     row i ends as colluder i's vector, drawn from ``rngs[i]``.  Beside it the
-    call holds O(d) vectors.
+    call holds O(d) vectors.  :func:`apply_attack_plan` passes one stream per
+    member of a non-empty group; a length mismatch raises ValueError.
     """
-    if len(rows) == 0:
-        raise ConfigError("crafted attack needs at least one colluder's honest update")
-    if len(rngs) != len(rows):
-        raise ConfigError(f"{len(rows)} colluders but {len(rngs)} rng streams")
     direction = np.mean(rows, axis=0)
     direction -= global_prev
     np.sign(direction, out=direction)
@@ -191,7 +192,7 @@ def attack_crafted(global_prev: np.ndarray, rows: np.ndarray, kind: Crafted,
     # bitwise g - lam * s: the direction becomes the crafted point
     direction *= lam
     crafted = np.subtract(global_prev, direction, out=direction)
-    for row, rng in zip(rows, rngs):
+    for row, rng in zip(rows, rngs, strict=True):
         # bitwise crafted + (0.01 * lam) * z: IEEE sums and products commute
         rng.standard_normal(out=row)
         row *= 0.01 * lam

@@ -27,7 +27,7 @@ from .aggregators import AGGREGATOR_KINDS
 from .config import ExperimentConfig, _finite_float, expand_groups, parse_config_file
 from .copod import copod_scores
 from .errors import ConfigError, DosflError
-from .harness import RoundRecord, run_experiment
+from .harness import METRIC_NAMES, RoundRecord, run_experiment
 
 SEED_ENV_VAR = "DOSFL_SEED"
 
@@ -165,9 +165,9 @@ def cmd_copod_score(args) -> int:
 
 
 def write_metrics_csv(records: list[RoundRecord], path) -> None:
-    _write_csv(path, ("round", "macro_auc", "pairwise_auc", "accuracy"),
-               [(str(r.round), _fmt(r.metrics.macro_auc), _fmt(r.metrics.pairwise_auc),
-                 _fmt(r.metrics.accuracy)) for r in records])
+    _write_csv(path, ("round",) + METRIC_NAMES,
+               [(str(r.round), *(_fmt(getattr(r.metrics, m)) for m in METRIC_NAMES))
+                for r in records])
 
 
 def write_weights_csv(records: list[RoundRecord], n_clients: int, path) -> None:
@@ -181,10 +181,7 @@ def write_weights_csv(records: list[RoundRecord], n_clients: int, path) -> None:
 
 def build_summary(cfg: ExperimentConfig, records: list[RoundRecord],
                   runtime: float) -> dict:
-    metric_names = ("macro_auc", "pairwise_auc", "accuracy")
-    avg = {m: (float(np.mean([r.metrics.as_dict()[m] for r in records]))
-               if records else None) for m in metric_names}
-    final = records[-1].metrics.as_dict() if records else {m: None for m in metric_names}
+    stats = {m: _mean_and_final(records, m, empty=None) for m in METRIC_NAMES}
     with_weights = [r for r in records if r.weights is not None]
     if with_weights:
         mean_weights = list(np.mean([r.weights for r in with_weights], axis=0))
@@ -194,8 +191,8 @@ def build_summary(cfg: ExperimentConfig, records: list[RoundRecord],
         "aggregator": cfg.aggregator.kind,
         "scenario": cfg.attack,
         "rounds": len(records),
-        "average": avg,
-        "final": final,
+        "average": {m: mean for m, (mean, _) in stats.items()},
+        "final": {m: final for m, (_, final) in stats.items()},
         "mean_client_weights": mean_weights,
         "runtime_seconds": runtime,
         "config": cfg.flat_dict(),
@@ -215,10 +212,8 @@ def _write_grid(config_path: str, output_dir: str, name: str, labels: tuple[str,
     """Run each (label, label, config) in turn and write ``output_dir/name``
     with one row of macro AUC averaged over the rounds and at the final round
     for each."""
-    rows = []
-    for first, second, cfg in runs:
-        records = _run(config_path, cfg)
-        rows.append((first, second, _fmt(_avg_metric(records)), _fmt(_final_metric(records))))
+    rows = [(first, second, *map(_fmt, _mean_and_final(_run(config_path, cfg), "macro_auc")))
+            for first, second, cfg in runs]
     with _output_dir(output_dir) as out:
         _write_csv(out / name, labels + ("avg_metric", "final_metric"), rows)
 
@@ -276,12 +271,13 @@ def _split_list(text: str, flag: str) -> list[str]:
     return items
 
 
-def _avg_metric(records: list[RoundRecord]) -> float:
-    return float(np.mean([r.metrics.macro_auc for r in records])) if records else float("nan")
-
-
-def _final_metric(records: list[RoundRecord]) -> float:
-    return records[-1].metrics.macro_auc if records else float("nan")
+def _mean_and_final(records: list[RoundRecord], name: str, empty=float("nan")) -> tuple:
+    """Metric ``name``'s mean over the rounds and its final-round value;
+    ``empty`` twice when there are no rounds."""
+    if not records:
+        return empty, empty
+    values = [getattr(r.metrics, name) for r in records]
+    return float(np.mean(values)), values[-1]
 
 
 def _fmt(x: float) -> str:

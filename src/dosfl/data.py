@@ -1,4 +1,9 @@
-"""Synthetic labeled datasets and client partitioning."""
+"""Synthetic labeled datasets and client partitioning.
+
+The arguments are checked once, where the run description is built
+(``ExperimentConfig``, ``ModelSpec``).  A :class:`LabeledDataset` checks
+itself, so an empty shard still raises ``ConfigError``.
+"""
 
 from __future__ import annotations
 
@@ -39,42 +44,21 @@ class LabeledDataset:
         return self.features.shape[0]
 
 
-def sample_class_means(class_count: int, input_dim: int, separation: float,
-                       rng: np.random.Generator) -> np.ndarray:
-    """Class means drawn uniformly on the sphere of radius ``separation``."""
-    if class_count < 2 or input_dim < 1:
-        raise ConfigError("need class_count >= 2 and input_dim >= 1")
-    dirs = rng.standard_normal((class_count, input_dim))
-    norms = np.linalg.norm(dirs, axis=1, keepdims=True)
-    norms[norms == 0.0] = 1.0
-    return separation * dirs / norms
-
-
-def sample_from_means(means: np.ndarray, per_class: int,
-                      rng: np.random.Generator) -> LabeledDataset:
-    """Unit-covariance Gaussian cluster of ``per_class`` samples around each mean."""
-    class_count, q = means.shape
-    feats = np.concatenate(
-        [means[c] + rng.standard_normal((per_class, q)) for c in range(class_count)]
-    )
-    labels = np.repeat(np.arange(class_count), per_class)
-    return LabeledDataset(features=feats, labels=labels, class_count=class_count)
-
-
-def generate_synthetic(class_count: int, input_dim: int, samples_per_class: int,
-                       class_separation: float, rng: np.random.Generator) -> LabeledDataset:
-    """Gaussian class clusters with means on a sphere of radius ``class_separation``."""
-    means = sample_class_means(class_count, input_dim, class_separation, rng)
-    return sample_from_means(means, samples_per_class, rng)
-
-
 def make_train_test(class_count: int, input_dim: int, train_per_class: int,
                     test_per_class: int, class_separation: float,
                     rng: np.random.Generator) -> tuple[LabeledDataset, LabeledDataset]:
-    """Train and held-out test sets drawn around the same class means."""
-    means = sample_class_means(class_count, input_dim, class_separation, rng)
-    train = sample_from_means(means, train_per_class, rng)
-    test = sample_from_means(means, test_per_class, rng)
+    """Class means drawn uniformly on the sphere of radius ``class_separation``,
+    then unit-covariance Gaussian clusters of ``train_per_class`` and of
+    ``test_per_class`` samples around each: the train and test sets."""
+    dirs = rng.standard_normal((class_count, input_dim))
+    norms = np.linalg.norm(dirs, axis=1, keepdims=True)
+    norms[norms == 0.0] = 1.0
+    means = class_separation * dirs / norms
+    train, test = (LabeledDataset(
+        features=np.concatenate([means[c] + rng.standard_normal((per_class, input_dim))
+                                 for c in range(class_count)]),
+        labels=np.repeat(np.arange(class_count), per_class), class_count=class_count)
+        for per_class in (train_per_class, test_per_class))
     return train, test
 
 
@@ -89,8 +73,6 @@ def partition_iid(ds: LabeledDataset, n: int, rng: np.random.Generator) -> list[
     The remainder is handed out one sample per client starting from client 0.
     """
     m = len(ds)
-    if m < n:
-        raise ConfigError(f"cannot split {m} samples across {n} clients")
     perm = rng.permutation(m)
     sizes = [m // n + (1 if i < m % n else 0) for i in range(n)]
     bounds = np.cumsum([0] + sizes)
@@ -105,8 +87,6 @@ def partition_label_skew(ds: LabeledDataset, n: int, alpha: float,
     Redraws (up to ``LABEL_SKEW_RETRIES`` times) until every client holds
     at least one sample.
     """
-    if alpha <= 0:
-        raise ConfigError(f"alpha must be > 0, got {alpha}")
     for _ in range(LABEL_SKEW_RETRIES):
         shard_idx: list[list[int]] = [[] for _ in range(n)]
         for c in range(ds.class_count):

@@ -45,16 +45,16 @@ from .errors import ConfigError, ExperimentError
 from .models import ModelSpec, init_params, loss_and_grad, predict_proba
 
 
+# The Metrics fields the outputs report, in their column order.
+METRIC_NAMES = ("macro_auc", "pairwise_auc", "accuracy")
+
+
 @dataclass(frozen=True)
 class Metrics:
     macro_auc: float
     pairwise_auc: float
     accuracy: float
     skipped_classes: tuple[int, ...] = ()
-
-    def as_dict(self) -> dict[str, float]:
-        return {"macro_auc": self.macro_auc, "pairwise_auc": self.pairwise_auc,
-                "accuracy": self.accuracy}
 
 
 @dataclass(frozen=True)
@@ -205,9 +205,9 @@ def local_train(model: ModelSpec, params: np.ndarray, shards: list[LabeledDatase
     ``loss_and_grad`` call, which steps their rows in place: a view of the
     rows when their ids are consecutive, else a gathered copy written back
     once.  Each row gets bitwise the update a per-client loop would give it.
+    A ``params`` of the wrong size fails in the first ``loss_and_grad`` call,
+    which every round makes, as its config leaves an honest client to train.
     """
-    if params.size != model.param_count:
-        raise ConfigError(f"params have {params.size} entries, model needs {model.param_count}")
     features = np.concatenate([shard.features for shard in shards])
     labels = np.concatenate([shard.labels for shard in shards])
     # each client's batches in step order, as indices into the concatenation

@@ -127,11 +127,9 @@ def pairwise_distances(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     produces an all-zero update.  Any other pair at Euclidean distance
     exactly 0 is at cosine distance exactly 0.  Rows whose squared norms
     could overflow are scaled by 2**-e for the kernels and the Euclidean
-    distances by 2**e back, so finite rows give finite distances.
+    distances by 2**e back, so finite rows give finite distances.  A run has
+    at least 2 rows, as its config ensures; ``copod_scores`` refuses fewer.
     """
-    n = mat.shape[0]
-    if n < 2:
-        raise ConfigError(f"pairwise distances need at least 2 updates, got {n}")
     # A squared norm is 0 exactly when the norm is, also when every square underflows.
     sq_norms = np.einsum("ij,ij->i", mat, mat)
     e = 0

@@ -14,14 +14,22 @@ or any global model moves a digest; one that changes bits on purpose
 regenerates the file with ``python3 tools/golden_digests.py``.
 
 The digests hold only for the numpy, scipy and BLAS builds that made them,
-so the file records those versions too.
+so the file records those versions too.  They also depend on the SIMD
+kernels numpy dispatches to and on the core OpenBLAS selects, which a CPU
+without AVX-512 changes (``NPY_DISABLE_CPU_FEATURES`` and
+``OPENBLAS_CORETYPE`` emulate one), so the file records that platform too:
+when digests move on another platform, the test names both first.
 """
 
+import ctypes
 import hashlib
 import json
 import sys
 from dataclasses import replace
 from pathlib import Path
+
+import numpy as np
+from numpy._core import _multiarray_umath as umath
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 
@@ -89,6 +97,20 @@ def versions() -> dict[str, str]:
     return {key: env[key] for key in VERSION_KEYS}
 
 
+def platform() -> dict[str, object]:
+    """numpy's enabled SIMD dispatch targets and the OpenBLAS core of numpy's
+    bundled library, ``"unknown"`` where it cannot be read."""
+    targets = [t for t in umath.__cpu_dispatch__ if umath.__cpu_features__.get(t)]
+    libs = sorted((Path(np.__file__).parent.parent / "numpy.libs").glob("libscipy_openblas*"))
+    try:  # numpy has loaded the library already, so this is the handle it uses
+        corename = ctypes.CDLL(str(libs[0])).scipy_openblas_get_corename64_
+        corename.argtypes, corename.restype = [], ctypes.c_char_p
+        core = corename().decode()
+    except (IndexError, OSError, AttributeError):
+        core = "unknown"
+    return {"numpy_dispatch": targets, "openblas_core": core}
+
+
 def digests(grid: dict) -> dict[str, dict[str, str]]:
     """Both digests of every grid run, keyed by rule, attack and seed index,
     and of every short run, keyed by its name; the grid's runs come from
@@ -111,5 +133,5 @@ def load() -> dict:
 
 
 def write(grid: dict) -> None:
-    body = {"versions": versions(), **digests(grid)}
+    body = {"versions": versions(), "platform": platform(), **digests(grid)}
     GOLDEN_PATH.write_text(json.dumps(body, indent=1, sort_keys=True) + "\n")

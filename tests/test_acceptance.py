@@ -216,10 +216,36 @@ def test_outputs_match_golden_digests(grid):
         assert sorted(got[key]) == sorted(pinned[key])
     moved = {key: sorted(name for name, digest in pinned[key].items() if got[key][name] != digest)
              for key in golden.MAPS}
+    # a platform whose bits agree passes; one whose bits moved is named first
+    here = golden.platform()
+    if any(moved.values()) and pinned["platform"] != here:
+        report(False, f"golden digests were made on {pinned['platform']}, this run is on {here}")
     for key, names in moved.items():
         report(not names, f"{len(got[key]) - len(names)} of {len(got[key])} runs match their "
                           f"golden {key}; moved: {names}")
     assert not any(moved.values())
+
+
+@pytest.mark.parametrize("bits_move", [False, True])
+def test_golden_digests_name_a_differing_platform_when_bits_move(monkeypatch, capsys, bits_move):
+    pinned = golden.load()
+    got = {key: dict(pinned[key]) for key in golden.MAPS}
+    if bits_move:
+        got["theta_digests"]["short/median"] = "0" * 64
+    other = {"numpy_dispatch": ["X86_V3"], "openblas_core": "Haswell"}
+    monkeypatch.setattr(golden, "versions", lambda: pinned["versions"])
+    monkeypatch.setattr(golden, "digests", lambda grid: got)
+    monkeypatch.setattr(golden, "platform", lambda: other)
+    if not bits_move:
+        test_outputs_match_golden_digests(grid={})  # no gate on the platform itself
+        assert "made on" not in capsys.readouterr().out
+        return
+    with pytest.raises(AssertionError):
+        test_outputs_match_golden_digests(grid={})
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == (f"[FAIL] golden digests were made on {pinned['platform']}, "
+                        f"this run is on {other}")
+    assert lines[2].endswith("moved: ['short/median']")
 
 
 def test_wide_dos_crafted_digests_hold_on_one_blas_thread():
@@ -299,8 +325,8 @@ def test_property_suite(tmp_path):
     ok &= bool(np.allclose(aggregate_dos(mat[perm]).weights, w0[perm]))
 
     # partition conservation
-    from dosfl.data import generate_synthetic, partition_iid, partition_label_skew
-    ds = generate_synthetic(4, 5, 30, 4.0, np.random.default_rng(5))
+    from dosfl.data import make_train_test, partition_iid, partition_label_skew
+    ds = make_train_test(4, 5, 30, 1, 4.0, np.random.default_rng(5))[0]
     for shards in (partition_iid(ds, 6, np.random.default_rng(6)),
                    partition_label_skew(ds, 6, 0.5, np.random.default_rng(7))):
         merged = np.sort(np.concatenate([s.features for s in shards]).ravel())

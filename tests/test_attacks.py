@@ -173,7 +173,7 @@ def test_crafted_single_candidate():
 
 
 def test_crafted_requires_matching_rngs():
-    with pytest.raises(ConfigError):
+    with pytest.raises(ValueError, match="zip"):
         attack_crafted(np.zeros(2), np.ones((1, 2)), Crafted(1.0, 2), None, [])
 
 

@@ -119,6 +119,24 @@ def test_parse_attack_kinds():
         parse_config_text("attack = custom\nattack.client.3 = crafted(halving_steps=2.5)\n")
 
 
+@pytest.mark.parametrize("steps", ["1000000000", "9" * 400], ids=["1e9", "400_digits"])
+def test_crafted_halving_steps_stop_before_lambda_reaches_zero(steps):
+    # 10**9 candidates would be built in the first round; 400 digits would
+    # overflow 2.0 ** -k; every candidate from 2**-1075 on is 0.0
+    with pytest.raises(ConfigError, match=r"^<config>:2: halving_steps=\d+ halves lambda_init"):
+        parse_config_text(f"attack = custom\nattack.client.9 = crafted(halving_steps={steps})\n")
+
+
+def test_crafted_halving_steps_bound_reads_the_last_candidate():
+    last = Crafted(lambda_init=10, halving_steps=1074)
+    assert last.lambda_init * 2.0 ** -last.halving_steps > 0.0  # 10 * 2**-1074 is subnormal
+    for lam, steps in ((10, 1075), (0.1, 1074), (1e-300, 100)):
+        assert lam * 2.0 ** -steps == 0.0
+        with pytest.raises(ConfigError, match="halves lambda_init to 0"):
+            Crafted(lambda_init=lam, halving_steps=steps)
+    Crafted(lambda_init=1e300, halving_steps=1074)
+
+
 def test_scenario_expansion_counts_at_ten():
     for name, groups in SCENARIOS.items():
         plan = ExperimentConfig(attack=name).plan

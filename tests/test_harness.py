@@ -10,7 +10,6 @@ from dosfl.aggregators import AGGREGATOR_KINDS, AggregatorSpec
 from dosfl.config import ExperimentConfig, TrainConfig
 from dosfl.data import (
     LabeledDataset,
-    generate_synthetic,
     make_train_test,
     partition_iid,
     partition_label_skew,
@@ -38,11 +37,16 @@ def rng_of(seed):
 # synthetic data
 
 
-def test_generate_synthetic_deterministic():
-    a = generate_synthetic(3, 5, 10, 4.0, rng_of(11))
-    b = generate_synthetic(3, 5, 10, 4.0, rng_of(11))
-    np.testing.assert_array_equal(a.features, b.features)
-    np.testing.assert_array_equal(a.labels, b.labels)
+def test_make_train_test_deterministic():
+    a = make_train_test(3, 5, 10, 4, 4.0, rng_of(11))
+    b = make_train_test(3, 5, 10, 4, 4.0, rng_of(11))
+    for x, y in zip(a, b, strict=True):
+        np.testing.assert_array_equal(x.features, y.features)
+        np.testing.assert_array_equal(x.labels, y.labels)
+    # the test draws come last, so the train set does not depend on their count
+    alone = make_train_test(3, 5, 10, 1, 4.0, rng_of(11))[0]
+    np.testing.assert_array_equal(alone.features, a[0].features)
+    assert [len(s) for s in a] == [30, 12]
 
 
 def _train_logistic(train, test, epochs=20, lr=0.1):
@@ -65,7 +69,7 @@ def test_zero_separation_is_chance():
 
 
 def test_partition_iid_sizes():
-    ds = generate_synthetic(2, 3, 50, 2.0, rng_of(5))  # 100 samples
+    ds = make_train_test(2, 3, 50, 1, 2.0, rng_of(5))[0]  # 100 samples
     sizes = [len(s) for s in partition_iid(ds, 10, rng_of(6))]
     assert sizes == [10] * 10
 
@@ -81,7 +85,7 @@ def _as_multiset(ds):
 
 
 def test_partition_conservation():
-    ds = generate_synthetic(3, 4, 40, 3.0, rng_of(8))
+    ds = make_train_test(3, 4, 40, 1, 3.0, rng_of(8))[0]
     for shards in (partition_iid(ds, 7, rng_of(9)),
                    partition_label_skew(ds, 7, 0.5, rng_of(10))):
         merged = LabeledDataset(
@@ -92,7 +96,7 @@ def test_partition_conservation():
 
 
 def test_partition_iid_needs_enough_samples():
-    ds = generate_synthetic(2, 3, 2, 1.0, rng_of(11))  # 4 samples
+    ds = make_train_test(2, 3, 2, 1, 1.0, rng_of(11))[0]  # 4 samples
     with pytest.raises(ConfigError):
         partition_iid(ds, 5, rng_of(12))
 
@@ -110,7 +114,7 @@ def test_labeled_dataset_rejects_bad_input(features, labels, error):
 
 
 def test_label_skew_concentration_limit():
-    ds = generate_synthetic(4, 3, 100, 3.0, rng_of(13))
+    ds = make_train_test(4, 3, 100, 1, 3.0, rng_of(13))[0]
     shards = partition_label_skew(ds, 5, 1e6, rng_of(14))
     global_props = np.bincount(ds.labels, minlength=4) / len(ds)
     for s in shards:
@@ -121,7 +125,7 @@ def test_label_skew_concentration_limit():
 def test_label_skew_produces_skew():
     hit = 0
     for seed in range(20):
-        ds = generate_synthetic(7, 3, 60, 3.0, rng_of(100 + seed))
+        ds = make_train_test(7, 3, 60, 1, 3.0, rng_of(100 + seed))[0]
         shards = partition_label_skew(ds, 10, 0.1, rng_of(200 + seed))
         if any(np.bincount(s.labels, minlength=7).max() / len(s) > 0.5 for s in shards):
             hit += 1
@@ -135,7 +139,7 @@ def test_label_skew_produces_skew():
 def test_local_train_zero_lr_is_identity():
     spec = ModelSpec()
     params = init_params(spec, rng_of(15))
-    ds = generate_synthetic(4, 20, 10, 6.0, rng_of(16))
+    ds = make_train_test(4, 20, 10, 1, 6.0, rng_of(16))[0]
     shards = partition_label_skew(ds, 3, 0.5, rng_of(18))
     cfg = TrainConfig(learning_rate=0.0, local_steps=3, batch_size=8, rounds=1)
     out = local_train(spec, params, shards, cfg, [rng_of(17 + i) for i in range(3)])
@@ -144,7 +148,7 @@ def test_local_train_zero_lr_is_identity():
 
 def test_local_train_reduces_loss():
     spec = ModelSpec(kind="logistic", input_dim=6, class_count=2)
-    ds = generate_synthetic(2, 6, 40, 6.0, rng_of(18))
+    ds = make_train_test(2, 6, 40, 1, 6.0, rng_of(18))[0]
     params = init_params(spec, rng_of(19))
     before = reference_cross_entropy(spec, params, ds.features, ds.labels)
     cfg = TrainConfig(learning_rate=0.01, local_steps=1, batch_size=16, rounds=1)
@@ -155,7 +159,7 @@ def test_local_train_reduces_loss():
 
 def _training_case(kind, partition, clients):
     spec = ModelSpec(kind=kind, input_dim=5, class_count=3, hidden_dim=6)
-    ds = generate_synthetic(3, 5, 30, 3.0, rng_of(30))
+    ds = make_train_test(3, 5, 30, 1, 3.0, rng_of(30))[0]
     if partition == "iid":
         shards = partition_iid(ds, clients, rng_of(31))
     else:
@@ -234,7 +238,7 @@ def test_local_train_peak_memory_is_two_parameter_matrices():
     # temporaries would dominate the peak; the bound leaves room for the
     # parameter matrix, the step's gradient block and the concatenated shards.
     spec = ModelSpec(kind="mlp1", input_dim=1000, class_count=3, hidden_dim=32)
-    ds = generate_synthetic(3, 1000, 24, 3.0, rng_of(34))
+    ds = make_train_test(3, 1000, 24, 1, 3.0, rng_of(34))[0]
     shards = partition_iid(ds, 4, rng_of(35))
     params = init_params(spec, rng_of(36))
     cfg = TrainConfig(learning_rate=0.1, local_steps=2, batch_size=4, rounds=1)
@@ -286,7 +290,7 @@ def test_local_train_peak_memory_is_one_matrix_and_the_gradient_budget():
     # of a step.  A (block, P) gradient buffer, or any second (n, P) array,
     # would exceed it.
     spec = ModelSpec(kind="mlp1", input_dim=100, class_count=4, hidden_dim=1000)
-    ds = generate_synthetic(4, 100, 20, 3.0, rng_of(38))
+    ds = make_train_test(4, 100, 20, 1, 3.0, rng_of(38))[0]
     shards = partition_iid(ds, 10, rng_of(39))
     params = init_params(spec, rng_of(40))
     layer_bytes = 100 * 1000 * 8
@@ -328,7 +332,7 @@ def test_loss_and_grad_holds_one_gradient_block():
 def test_local_train_rejects_wrong_param_count():
     spec, params, shards = _training_case("logistic", "iid", 2)
     cfg = TrainConfig(batch_size=8, rounds=1)
-    with pytest.raises(ConfigError, match="entries"):
+    with pytest.raises(DimensionError, match="parameters"):
         local_train(spec, params[:-1], shards, cfg, [rng_of(0), rng_of(1)])
 
 
@@ -407,7 +411,7 @@ def test_perfect_ranking_gives_auc_one():
 def test_constant_scores_give_half_auc():
     spec = ModelSpec(kind="logistic", input_dim=3, class_count=4)
     params = np.zeros(spec.param_count)  # all logits equal -> tied scores
-    ds = generate_synthetic(4, 3, 25, 5.0, rng_of(23))
+    ds = make_train_test(4, 3, 25, 1, 5.0, rng_of(23))[0]
     m = evaluate(spec, params, ds)
     assert m.macro_auc == pytest.approx(0.5)
     assert m.pairwise_auc == pytest.approx(0.5)
@@ -416,7 +420,7 @@ def test_constant_scores_give_half_auc():
 def test_binary_pairwise_equals_macro():
     spec = ModelSpec(kind="logistic", input_dim=4, class_count=2)
     params = init_params(spec, rng_of(24))
-    ds = generate_synthetic(2, 4, 30, 2.0, rng_of(25))
+    ds = make_train_test(2, 4, 30, 1, 2.0, rng_of(25))[0]
     m = evaluate(spec, params, ds)
     assert m.pairwise_auc == pytest.approx(m.macro_auc)
 
@@ -424,7 +428,7 @@ def test_binary_pairwise_equals_macro():
 def test_absent_class_is_flagged_and_excluded():
     spec = ModelSpec(kind="logistic", input_dim=3, class_count=4)
     params = init_params(spec, rng_of(26))
-    ds = generate_synthetic(4, 3, 20, 4.0, rng_of(27))
+    ds = make_train_test(4, 3, 20, 1, 4.0, rng_of(27))[0]
     keep = ds.labels != 3
     test = LabeledDataset(features=ds.features[keep], labels=ds.labels[keep], class_count=4)
     m = evaluate(spec, params, test)

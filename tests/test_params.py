@@ -261,8 +261,8 @@ def test_no_scipy_module_is_imported_or_run():
 
 
 def test_pairwise_needs_two_updates():
-    with pytest.raises(ConfigError):
-        pairwise_distances(matrix_of([[1.0, 2.0]]))
+    with pytest.raises(ConfigError, match="at least 2 rows"):
+        aggregate_dos(matrix_of([[1.0, 2.0]]))
 
 
 def test_softmax_constant_scores_uniform():
