@@ -87,10 +87,6 @@ ATTACK_KINDS = {"noise": GaussianNoise, "scale": Scale, "label_flip": LabelFlip,
 _KIND_NAMES = {cls: name for name, cls in ATTACK_KINDS.items()}
 
 
-def kind_name(kind: AttackKind | None) -> str:
-    return "none" if kind is None else _KIND_NAMES[type(kind)]
-
-
 @dataclass(frozen=True)
 class AttackPlan:
     """Static per-client attack assignment; unlisted clients are honest."""
@@ -98,7 +94,9 @@ class AttackPlan:
     assignments: dict[int, AttackKind] = field(default_factory=dict)
 
     def kind_name_for(self, client_id: int) -> str:
-        return kind_name(self.assignments.get(client_id))
+        """The kind's config name, as in ``ATTACK_KINDS``; "none" for an honest client."""
+        kind = self.assignments.get(client_id)
+        return "none" if kind is None else _KIND_NAMES[type(kind)]
 
     def malicious_ids(self) -> list[int]:
         return sorted(self.assignments)
@@ -226,15 +224,14 @@ def apply_attack_plan(plan: AttackPlan, mat: np.ndarray, global_prev: np.ndarray
                       rng_for: Callable[[int], np.random.Generator]) -> np.ndarray:
     """Turn the round's honest training matrix into its transmitted update matrix.
 
-    The call takes ownership of a C-contiguous float64 ``mat``: each attacked
-    row is overwritten in place, and the checked matrix returned is ``mat``
-    itself (any other dtype or layout is converted to such a copy first).
+    The call takes ownership of ``mat``, ``local_train``'s C-contiguous
+    float64 matrix: each attacked row is overwritten in place, and the matrix
+    returned is ``mat`` itself, checked by :func:`params.stack_updates`.
     Honest and label-flip rows keep their bits (the flip already poisoned
     their data).  Crafted clients sharing the same parameters collude as one
     group, which gathers its members' honest rows into one array, attacks it
     and writes it back.  Client i's attack draws from ``rng_for(i)``.
     """
-    mat = np.ascontiguousarray(mat, dtype=np.float64)
     crafted_groups: dict[Crafted, list[int]] = {}
     for cid, kind in sorted(plan.assignments.items()):
         if isinstance(kind, GaussianNoise):

@@ -4,7 +4,9 @@ An ``ExperimentConfig`` is the one frozen description of a run, and it is
 what ``harness.run_experiment`` and ``harness.prepare_shards`` take.  It is
 validated when it is constructed, and it derives its attack plan then, once,
 from ``attack`` and ``custom_plan``; so ``dataclasses.replace`` on one
-validates the result and derives its plan again.
+validates the result and derives its plan again.  ``parse_config_text``
+builds each one once, an absent key keeping its dataclass default, and
+``flat_dict`` reads the keys back off it.
 
 The config language is line oriented: ``section.key = value`` with ``#``
 comments.  Attack scenarios are bundled data fragments in the same kind-spec
@@ -204,16 +206,15 @@ class ExperimentConfig:
     def flat_dict(self) -> dict[str, str]:
         """Effective configuration after defaults, as config-file keys; ``str``
         round-trips every float, so the text re-parses to the same run."""
-        agg = replace(self.aggregator, krum_f=self.aggregator.resolve_krum_f(self.clients))
-        effective = replace(self, aggregator=agg)
-        out = {key: str(reduce(getattr, path, effective)) for key, path in KEYS.items()}
+        out = {key: str(reduce(getattr, path, self)) for key, path in KEYS.items()}
+        out["aggregator.krum_f"] = str(self.aggregator.resolve_krum_f(self.clients))
         for cid, spec_text in self.custom_plan:
             out[f"attack.client.{cid}"] = spec_text
         return out
 
 
 # Config-file key -> field path in ExperimentConfig.  Each key's type comes
-# from the dataclass annotation and its default from ExperimentConfig().
+# from the dataclass annotation and its default from the dataclass.
 KEYS: dict[str, tuple[str, ...]] = {
     "seed": ("seed",),
     "clients": ("clients",),
@@ -252,7 +253,8 @@ def _key_parser(key: str):
 
 def parse_config_text(text: str, source: str = "<config>") -> ExperimentConfig:
     """Parse and validate config text; errors carry ``source:line`` anchors."""
-    values: dict[tuple[str, ...], object] = {}
+    top: dict[str, object] = {}
+    nested: dict[str, dict[str, object]] = {}
     custom: dict[int, str] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()
@@ -269,16 +271,20 @@ def parse_config_text(text: str, source: str = "<config>") -> ExperimentConfig:
             elif key in KEYS:
                 convert, needs = _key_parser(key)
                 try:
-                    values[KEYS[key]] = convert(value)
+                    parsed = convert(value)
                 except ValueError:
                     raise ConfigError(f"{key} needs {needs}, got {value!r}") from None
+                *outer, name = KEYS[key]
+                (nested.setdefault(outer[0], {}) if outer else top)[name] = parsed
             else:
                 raise ConfigError(f"unknown key {key!r}")
         except ConfigError as exc:
             raise ConfigError(f"{source}:{lineno}: {exc}") from None
 
     try:
-        return _build_config(values, tuple(sorted(custom.items())))
+        for name, changes in nested.items():  # from the class default, e.g. ModelSpec()
+            top[name] = replace(getattr(ExperimentConfig, name), **changes)
+        return ExperimentConfig(custom_plan=tuple(sorted(custom.items())), **top)
     except ConfigError as exc:
         raise ConfigError(f"{source}: {exc}") from None
 
@@ -291,19 +297,3 @@ def parse_config_file(path) -> ExperimentConfig:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     return parse_config_text(text, source=str(path))
 
-
-def _build_config(values: dict[tuple[str, ...], object],
-                  custom: tuple[tuple[int, str], ...]) -> ExperimentConfig:
-    """Set the parsed fields on ``ExperimentConfig()``, rebuilding each nested
-    dataclass once; every absent key keeps the dataclass default."""
-    base = ExperimentConfig()
-    top: dict[str, object] = {}
-    nested: dict[str, dict[str, object]] = {}
-    for path, value in values.items():
-        if len(path) == 1:
-            top[path[0]] = value
-        else:
-            nested.setdefault(path[0], {})[path[1]] = value
-    for name, changes in nested.items():
-        top[name] = replace(getattr(base, name), **changes)
-    return replace(base, custom_plan=custom, **top)

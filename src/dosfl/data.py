@@ -68,15 +68,9 @@ def _take(ds: LabeledDataset, idx: np.ndarray) -> LabeledDataset:
 
 
 def partition_iid(ds: LabeledDataset, n: int, rng: np.random.Generator) -> list[LabeledDataset]:
-    """Shuffle, then split into contiguous near-equal shards.
-
-    The remainder is handed out one sample per client starting from client 0.
-    """
-    m = len(ds)
-    perm = rng.permutation(m)
-    sizes = [m // n + (1 if i < m % n else 0) for i in range(n)]
-    bounds = np.cumsum([0] + sizes)
-    return [_take(ds, perm[bounds[i]:bounds[i + 1]]) for i in range(n)]
+    """Shuffle, then split into n contiguous shards with ``np.array_split``:
+    the first ``len(ds) % n`` shards hold one sample more."""
+    return [_take(ds, idx) for idx in np.array_split(rng.permutation(len(ds)), n)]
 
 
 def partition_label_skew(ds: LabeledDataset, n: int, alpha: float,
@@ -84,20 +78,18 @@ def partition_label_skew(ds: LabeledDataset, n: int, alpha: float,
     """Dirichlet label-skew split: each class is spread over clients according
     to a Dirichlet(alpha, ..., alpha) draw.  Smaller alpha means stronger skew.
 
-    Redraws (up to ``LABEL_SKEW_RETRIES`` times) until every client holds
-    at least one sample.
+    Each class's shuffled members are split at the rounded cumulative shares
+    of its draw; client i takes the piece before cut i.  Redraws (up to
+    ``LABEL_SKEW_RETRIES`` times) until every client holds at least one sample.
     """
     for _ in range(LABEL_SKEW_RETRIES):
-        shard_idx: list[list[int]] = [[] for _ in range(n)]
+        per_class = []
         for c in range(ds.class_count):
-            members = np.flatnonzero(ds.labels == c)
-            members = rng.permutation(members)
-            props = rng.dirichlet(np.full(n, alpha))
-            cuts = np.floor(np.cumsum(props) * len(members) + 0.5).astype(int)
-            start = 0
-            for i in range(n):
-                shard_idx[i].extend(members[start:cuts[i]])
-                start = cuts[i]
-        if all(len(s) >= 1 for s in shard_idx):
-            return [_take(ds, np.array(sorted(s), dtype=int)) for s in shard_idx]
+            members = rng.permutation(np.flatnonzero(ds.labels == c))
+            cuts = np.floor(np.cumsum(rng.dirichlet(np.full(n, alpha))) * len(members) + 0.5)
+            # the piece after the last cut, empty unless rounding cut short, is dropped
+            per_class.append(np.split(members, cuts.astype(int))[:n])
+        shards = [np.sort(np.concatenate(pieces)) for pieces in zip(*per_class)]
+        if all(len(s) >= 1 for s in shards):
+            return [_take(ds, s) for s in shards]
     raise ConfigError(f"label-skew split left a client empty after {LABEL_SKEW_RETRIES} retries")

@@ -11,8 +11,7 @@ model's one description: every other function walks the (W, b) pairs that
 each row in place by bitwise the single-model update, one layer at a time
 from a gradient block it sizes itself, so a training loop makes no (k, P)
 temporary per step.  It returns nothing: no round reads a loss value, so none
-is computed.  It keeps its name because perfbench times it under that name.
-``predict_proba`` runs the same forward loop on a stack of one.
+is computed.  ``predict_proba`` runs the same forward loop on a stack of one.
 """
 
 from __future__ import annotations

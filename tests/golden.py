@@ -18,7 +18,8 @@ so the file records those versions too.  They also depend on the SIMD
 kernels numpy dispatches to and on the core OpenBLAS selects, which a CPU
 without AVX-512 changes (``NPY_DISABLE_CPU_FEATURES`` and
 ``OPENBLAS_CORETYPE`` emulate one), so the file records that platform too:
-when digests move on another platform, the test names both first.
+when digests move on another platform, each digest test names both first
+(:func:`platform_change`).
 """
 
 import ctypes
@@ -109,6 +110,15 @@ def platform() -> dict[str, object]:
     except (IndexError, OSError, AttributeError):
         core = "unknown"
     return {"numpy_dispatch": targets, "openblas_core": core}
+
+
+def platform_change(pinned: dict) -> str | None:
+    """For a test whose digests moved: the line naming the golden file's
+    platform and this run's, or None when they are the same."""
+    here = platform()
+    if pinned["platform"] == here:
+        return None
+    return f"golden digests were made on {pinned['platform']}, this run is on {here}"
 
 
 def digests(grid: dict) -> dict[str, dict[str, str]]:

@@ -9,7 +9,9 @@ the same way, so the objective is independent of the step under test.  The
 COPOD reference computes every float in input order, as the sorted-order
 kernel must reproduce it.  The attack-plan reference builds the transmitted
 matrix out of place with its own arithmetic and no call into the library's
-attack functions, as the in-place assembly must reproduce it."""
+attack functions, as the in-place assembly must reproduce it.  The partition
+references cut their shards in explicit loops from the same draws, as
+numpy's split functions must reproduce them."""
 
 import math
 
@@ -321,6 +323,37 @@ def reference_apply_attack_plan(plan, honest, global_prev, rng_for):
         for cid in members:
             rows[cid] = crafted + 0.01 * lam * rng_for(cid).standard_normal(crafted.size)
     return np.stack(rows)
+
+
+def reference_partition_iid(m, n, rng):
+    """Index arrays of one shuffle cut into n contiguous runs, the first
+    m % n of them one sample longer."""
+    perm = rng.permutation(m)
+    shards, start = [], 0
+    for i in range(n):
+        size = m // n + (1 if i < m % n else 0)
+        shards.append(perm[start:start + size])
+        start += size
+    return shards
+
+
+def reference_partition_label_skew(labels, class_count, n, alpha, rng, retries):
+    """Index arrays of the Dirichlet label-skew split: client i takes each
+    class's shuffled members from cut i - 1 to cut i.  None when every one of
+    ``retries`` draws left a client empty."""
+    for _ in range(retries):
+        shards = [[] for _ in range(n)]
+        for c in range(class_count):
+            members = rng.permutation(np.flatnonzero(labels == c))
+            props = rng.dirichlet(np.full(n, alpha))
+            cuts = np.floor(np.cumsum(props) * len(members) + 0.5).astype(int)
+            start = 0
+            for i in range(n):
+                shards[i].extend(members[start:cuts[i]])
+                start = cuts[i]
+        if all(shards):
+            return [np.array(sorted(s), dtype=int) for s in shards]
+    return None
 
 
 def reference_seed_stream(seed, tag, client, round_index):

@@ -19,6 +19,7 @@ import subprocess
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -59,9 +60,9 @@ def suite_config(aggregator: str, attack: str, seed: int, *, custom_plan=(), tri
     )
 
 
-def suite_configs(aggregator: str, attack: str, **kw) -> list[ExperimentConfig]:
-    """One aggregator/attack combination across the reference seeds."""
-    return [suite_config(aggregator, attack, seed, **kw) for seed in SEEDS]
+def suite_configs(aggregator: str, attack: str, seeds=SEEDS, **kw) -> list[ExperimentConfig]:
+    """One aggregator/attack combination across the reference seeds, or ``seeds``."""
+    return [suite_config(aggregator, attack, seed, **kw) for seed in seeds]
 
 
 def run_all(configs: list[ExperimentConfig]) -> list[golden.Run]:
@@ -97,28 +98,29 @@ def final_acc(records_per_seed):
     return float(np.mean([recs[-1].metrics.accuracy for recs in records_per_seed]))
 
 
-def run_grid():
+def run_grid(seeds=SEEDS):
     """Every rule/attack suite the tests below read, keyed by (rule, attack),
-    each run carrying the digest of its global models."""
+    each run carrying the digest of its global models; the tests read the
+    reference seeds, and ``tools/acceptance_margins.py`` held-out ones."""
+    configs = partial(suite_configs, seeds=seeds)
     suites = {
-        ("dos", "no_attack"): suite_configs("dos", "no_attack"),
-        ("fedavg", "no_attack"): suite_configs("fedavg", "no_attack"),
-        ("dos", "noise_40"): suite_configs("dos", "noise_40"),
-        ("fedavg", "noise_40"): suite_configs("fedavg", "noise_40"),
-        ("dos", "noise_scaled_40"): suite_configs("dos", "noise_scaled_40"),
-        ("trimmed_mean", "noise_scaled_40"): suite_configs("trimmed_mean", "noise_scaled_40",
-                                                           trim=0.2),
-        ("fedavg", "noise_scaled_40"): suite_configs("fedavg", "noise_scaled_40"),
-        ("dos", "crafted_40"): suite_configs("dos", "crafted_40",
-                                             partition="label_skew", skew_alpha=2.0),
-        ("krum", "crafted_40"): suite_configs("krum", "crafted_40",
-                                              partition="label_skew", skew_alpha=2.0),
+        ("dos", "no_attack"): configs("dos", "no_attack"),
+        ("fedavg", "no_attack"): configs("fedavg", "no_attack"),
+        ("dos", "noise_40"): configs("dos", "noise_40"),
+        ("fedavg", "noise_40"): configs("fedavg", "noise_40"),
+        ("dos", "noise_scaled_40"): configs("dos", "noise_scaled_40"),
+        ("trimmed_mean", "noise_scaled_40"): configs("trimmed_mean", "noise_scaled_40", trim=0.2),
+        ("fedavg", "noise_scaled_40"): configs("fedavg", "noise_scaled_40"),
+        ("dos", "crafted_40"): configs("dos", "crafted_40",
+                                       partition="label_skew", skew_alpha=2.0),
+        ("krum", "crafted_40"): configs("krum", "crafted_40",
+                                        partition="label_skew", skew_alpha=2.0),
     }
     for frac in NOISE_FRACS:
-        suites[("dos", f"noise_frac_{frac}")] = suite_configs("dos", "custom",
-                                                             custom_plan=noise_frac_plan(frac))
-    runs = iter(run_all([cfg for configs in suites.values() for cfg in configs]))
-    grid = {key: [next(runs) for _ in configs] for key, configs in suites.items()}
+        suites[("dos", f"noise_frac_{frac}")] = configs("dos", "custom",
+                                                        custom_plan=noise_frac_plan(frac))
+    runs = iter(run_all([cfg for suite in suites.values() for cfg in suite]))
+    grid = {key: [next(runs) for _ in suite] for key, suite in suites.items()}
     grid[("dos", "noise_frac_0.4")] = grid[("dos", "noise_40")]  # same plan
     return grid
 
@@ -217,9 +219,8 @@ def test_outputs_match_golden_digests(grid):
     moved = {key: sorted(name for name, digest in pinned[key].items() if got[key][name] != digest)
              for key in golden.MAPS}
     # a platform whose bits agree passes; one whose bits moved is named first
-    here = golden.platform()
-    if any(moved.values()) and pinned["platform"] != here:
-        report(False, f"golden digests were made on {pinned['platform']}, this run is on {here}")
+    if any(moved.values()) and (line := golden.platform_change(pinned)):
+        report(False, line)
     for key, names in moved.items():
         report(not names, f"{len(got[key]) - len(names)} of {len(got[key])} runs match their "
                           f"golden {key}; moved: {names}")
@@ -261,10 +262,37 @@ def test_wide_dos_crafted_digests_hold_on_one_blas_thread():
                           env=env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     got, pinned = json.loads(proc.stdout), golden.load()
-    held = [report(got[name] == [pinned[key][f"short/{name}"] for key in golden.MAPS],
-                   f"short/{name} on one BLAS thread matches both golden digests")
-            for name in names]
-    assert all(held)
+    held = {name: got[name] == [pinned[key][f"short/{name}"] for key in golden.MAPS]
+            for name in names}
+    # the child inherits this process's numeric platform, so it is named here
+    if not all(held.values()) and (line := golden.platform_change(pinned)):
+        report(False, line)
+    assert all([report(ok, f"short/{name} on one BLAS thread matches both golden digests")
+                for name, ok in held.items()])
+
+
+@pytest.mark.parametrize("bits_move", [False, True])
+def test_one_thread_digests_name_a_differing_platform_when_bits_move(monkeypatch, capsys,
+                                                                     bits_move):
+    pinned = golden.load()
+    got = {name: [pinned[key][f"short/{name}"] for key in golden.MAPS]
+           for name in ("wide_dos_crafted", "wide_median", "wide_trimmed_mean")}
+    if bits_move:
+        got["wide_median"][1] = "0" * 64
+    other = {"numpy_dispatch": ["X86_V3"], "openblas_core": "Haswell"}
+    monkeypatch.setattr(golden, "platform", lambda: other)
+    monkeypatch.setattr(subprocess, "run", lambda args, **kw: subprocess.CompletedProcess(
+        args, 0, stdout=json.dumps(got), stderr=""))
+    if not bits_move:
+        test_wide_dos_crafted_digests_hold_on_one_blas_thread()  # no gate on the platform itself
+        assert "made on" not in capsys.readouterr().out
+        return
+    with pytest.raises(AssertionError):
+        test_wide_dos_crafted_digests_hold_on_one_blas_thread()
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == (f"[FAIL] golden digests were made on {pinned['platform']}, "
+                        f"this run is on {other}")
+    assert lines[2] == "[FAIL] short/wide_median on one BLAS thread matches both golden digests"
 
 
 def test_copod_matches_bruteforce_oracle():

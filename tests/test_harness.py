@@ -9,6 +9,7 @@ from dosfl import harness, models
 from dosfl.aggregators import AGGREGATOR_KINDS, AggregatorSpec
 from dosfl.config import ExperimentConfig, TrainConfig
 from dosfl.data import (
+    LABEL_SKEW_RETRIES,
     LabeledDataset,
     make_train_test,
     partition_iid,
@@ -26,7 +27,8 @@ from dosfl.harness import (
 from dosfl.models import ModelSpec, init_params, loss_and_grad, predict_proba
 
 from .oracles import mann_whitney_auc_oracle, reference_cross_entropy, reference_local_train, \
-    reference_predict_proba, reference_seed_stream
+    reference_partition_iid, reference_partition_label_skew, reference_predict_proba, \
+    reference_seed_stream
 
 
 def rng_of(seed):
@@ -93,6 +95,42 @@ def test_partition_conservation():
             labels=np.concatenate([s.labels for s in shards]),
             class_count=ds.class_count)
         np.testing.assert_allclose(_as_multiset(merged), _as_multiset(ds))
+
+
+def _shard_bytes(shards):
+    return [(s.features.tobytes(), s.labels.tobytes()) for s in shards]
+
+
+def _taken_bytes(ds, index_arrays):
+    return [(ds.features[idx].tobytes(), ds.labels[idx].tobytes()) for idx in index_arrays]
+
+
+def test_partitions_match_the_loop_references():
+    # the split functions give the loops' shards bit for bit and leave the
+    # generator where the loops leave it, label-skew retry failures included
+    meta = rng_of(41)
+    for _ in range(100):
+        n, m, classes = (int(meta.integers(lo, hi)) for lo, hi in ((2, 30), (2, 196), (2, 7)))
+        alpha = float(10 ** meta.uniform(-2, 3))
+        ds = LabeledDataset(features=meta.standard_normal((m, 2)),
+                            labels=meta.integers(0, classes, m), class_count=classes)
+        seed = int(meta.integers(2 ** 32))
+        ref_rng, rng = rng_of(seed), rng_of(seed)
+        expected = reference_partition_label_skew(ds.labels, classes, n, alpha, ref_rng,
+                                                  LABEL_SKEW_RETRIES)
+        if expected is None:
+            with pytest.raises(ConfigError, match="left a client empty"):
+                partition_label_skew(ds, n, alpha, rng)
+        else:
+            got = partition_label_skew(ds, n, alpha, rng)
+            assert _shard_bytes(got) == _taken_bytes(ds, expected)
+        assert rng.bytes(8) == ref_rng.bytes(8)
+        if m >= n:
+            ref_rng, rng = rng_of(seed), rng_of(seed)
+            expected = reference_partition_iid(m, n, ref_rng)
+            got = partition_iid(ds, n, rng)
+            assert _shard_bytes(got) == _taken_bytes(ds, expected)
+            assert rng.bytes(8) == ref_rng.bytes(8)
 
 
 def test_partition_iid_needs_enough_samples():
@@ -197,7 +235,7 @@ def test_batched_training_single_client(kind):
 
 
 @pytest.mark.parametrize("kind", ["logistic", "mlp1"])
-def test_loss_and_grad_writes_into_out(monkeypatch, kind):
+def test_loss_and_grad_steps_the_stack_in_place(monkeypatch, kind):
     # a stepped stack is bitwise each row stepped alone, whether the gradient
     # block holds one model's largest layer or all three; the step writes
     # only the stack, and returns nothing
@@ -220,7 +258,7 @@ def test_loss_and_grad_writes_into_out(monkeypatch, kind):
             assert one.tobytes() == stack[i].tobytes()
 
 
-def test_loss_and_grad_rejects_out_it_cannot_fill():
+def test_loss_and_grad_rejects_a_stack_it_cannot_step_in_place():
     spec = ModelSpec(kind="logistic", input_dim=2, class_count=2)
     features, labels = np.zeros((2, 3, 2)), np.zeros((2, 3), dtype=int)
     read_only = np.zeros((2, spec.param_count))
@@ -233,7 +271,7 @@ def test_loss_and_grad_rejects_out_it_cannot_fill():
         loss_and_grad(spec, np.zeros(spec.param_count), features[0], labels[0], 0.1)
 
 
-def test_local_train_peak_memory_is_two_parameter_matrices():
+def test_local_train_peak_memory_is_three_parameter_matrices_plus_shards():
     # P = 32131 is far above batch x hidden = 128, so per-step (n, P)
     # temporaries would dominate the peak; the bound leaves room for the
     # parameter matrix, the step's gradient block and the concatenated shards.
