@@ -2,8 +2,8 @@
 
 Setting: 10 clients, 4-class synthetic Gaussian data (20 features, 200
 samples per class, class separation 6), logistic model, lr 0.01, T = 100
-rounds, seeds 0..4.  Each test prints one PASS/FAIL line; thresholds are
-fixed here, not tuned elsewhere.
+rounds, seeds 0..4.  Each test prints one PASS/FAIL line per frozen line of
+``frozen_lines`` it reads; thresholds are fixed there, not tuned elsewhere.
 
 The breakdown sweep expects DOS to hold up to 50% noise-replacement clients
 and to break down at 60%.  The 50% case is the sharpest check on COPOD's
@@ -20,7 +20,9 @@ import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 from functools import partial
+from operator import ge, gt, le, lt
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 import pytest
@@ -94,10 +96,6 @@ def noise_frac_plan(frac: float) -> tuple[tuple[int, str], ...]:
     return tuple(sorted(expand_groups([("noise", frac)], BASE.clients).items()))
 
 
-def final_acc(records_per_seed):
-    return float(np.mean([recs[-1].metrics.accuracy for recs in records_per_seed]))
-
-
 def run_grid(seeds=SEEDS):
     """Every rule/attack suite the tests below read, keyed by (rule, attack),
     each run carrying the digest of its global models; the tests read the
@@ -125,64 +123,84 @@ def run_grid(seeds=SEEDS):
     return grid
 
 
+class Line(NamedTuple):
+    """A frozen line; it holds when ``comparison(statistic, factor * reference)``."""
+
+    statistic: float
+    comparison: Callable[[float, float], bool]
+    factor: float
+    reference: float = 1.0  # an absolute bound is the factor
+
+    def holds(self) -> bool:
+        return bool(self.comparison(self.statistic, self.factor * self.reference))
+
+    def __str__(self) -> str:  # the statistic and the bound it is compared with
+        return f"{self.statistic:.4f} {SYMBOLS[self.comparison]} {self.factor * self.reference:.4f}"
+
+
+SYMBOLS = {le: "≤", lt: "<", ge: "≥", gt: ">"}
+
+
+def frozen_lines(grid) -> dict[str, Line]:
+    """Every frozen acceptance line of ``grid`` by its label, the most fragile first."""
+    acc = {f"{rule}/{attack}": float(np.mean([recs[-1].metrics.accuracy for recs in suite]))
+           for (rule, attack), suite in grid.items()}
+    base = acc["dos/no_attack"]
+    # per-client mean weight over rounds 10..T, averaged across seeds
+    weights = np.mean([np.array([r.weights for r in recs[10:]]).mean(axis=0)
+                       for recs in grid[("dos", "noise_40")]], axis=0)
+    malicious, honest = weights[6:], weights[:6]  # noise_40 attacks the top ids 6..9
+    return {
+        "noise 40%: FedAvg collapses": Line(acc["fedavg/noise_40"], le, CHANCE + 0.10),
+        "crafted 40%: |Krum − chance|": Line(abs(acc["krum/crafted_40"] - CHANCE), le, 0.10),
+        "noise+scaled: trimmed mean / base": Line(acc["trimmed_mean/noise_scaled_40"], lt, 0.8, base),
+        "noise+scaled: FedAvg / base": Line(acc["fedavg/noise_scaled_40"], lt, 0.8, base),
+        "crafted 40%: DOS − Krum": Line(acc["dos/crafted_40"] - acc["krum/crafted_40"], ge, 0.10),
+        "noise fraction 0.5: DOS / base": Line(acc["dos/noise_frac_0.5"], ge, 0.9, base),
+        "noise fraction 0.6: DOS / base": Line(acc["dos/noise_frac_0.6"], lt, 0.75, base),
+        "noise 40%: DOS / base": Line(acc["dos/noise_40"], ge, 0.9, base),
+        "noise+scaled: DOS / base": Line(acc["dos/noise_scaled_40"], ge, 0.9, base),
+        **{f"noise fraction {frac}: DOS / base": Line(acc[f"dos/noise_frac_{frac}"], ge, 0.9, base)
+           for frac in (0.1, 0.2, 0.3)},
+        "no attack: |DOS − FedAvg|": Line(abs(base - acc["fedavg/no_attack"]), le, 0.03),
+        "noise 40%: max malicious mean weight": Line(malicious.max(), lt, 0.2 / 10),
+        "noise 40%: min honest / max malicious weight": Line(honest.min(), gt, 1.0, malicious.max()),
+    }
+
+
 @pytest.fixture(scope="module")
 def grid():
     return run_grid()
 
 
+def check(grid, *labels):
+    """One PASS/FAIL line per named frozen line, then one assert for all."""
+    lines = frozen_lines(grid)
+    assert all([report(lines[label].holds(), f"{label}: {lines[label]}") for label in labels])
+
+
 def test_no_attack_parity(grid):
-    dos = final_acc(grid[("dos", "no_attack")])
-    fed = final_acc(grid[("fedavg", "no_attack")])
-    ok = abs(dos - fed) <= 0.03
-    assert report(ok, f"no-attack parity: |dos {dos:.3f} - fedavg {fed:.3f}| <= 0.03")
+    check(grid, "no attack: |DOS − FedAvg|")
 
 
 def test_noise_collapse_vs_resilience(grid):
-    fed = final_acc(grid[("fedavg", "noise_40")])
-    dos = final_acc(grid[("dos", "noise_40")])
-    base = final_acc(grid[("dos", "no_attack")])
-    ok_fed = fed <= CHANCE + 0.10
-    ok_dos = dos >= 0.9 * base
-    assert report(ok_fed, f"noise 40%: fedavg collapses to {fed:.3f} <= {CHANCE + 0.10:.2f}")
-    assert report(ok_dos, f"noise 40%: dos keeps {dos:.3f} >= 0.9 x no-attack {base:.3f}")
+    check(grid, "noise 40%: FedAvg collapses", "noise 40%: DOS / base")
 
 
 def test_noise_scaled_resilience(grid):
-    base = final_acc(grid[("dos", "no_attack")])
-    dos = final_acc(grid[("dos", "noise_scaled_40")])
-    tm = final_acc(grid[("trimmed_mean", "noise_scaled_40")])
-    fed = final_acc(grid[("fedavg", "noise_scaled_40")])
-    ok = dos >= 0.9 * base and tm < 0.8 * base and fed < 0.8 * base
-    assert report(ok, f"noise+scaled 40%: dos {dos:.3f} >= {0.9 * base:.3f}; "
-                      f"trimmed {tm:.3f} and fedavg {fed:.3f} < {0.8 * base:.3f}")
+    check(grid, "noise+scaled: DOS / base", "noise+scaled: trimmed mean / base",
+          "noise+scaled: FedAvg / base")
 
 
 def test_malicious_weight_suppression(grid):
-    # per-client mean weight over rounds 10..T, averaged across seeds
-    per_seed = [np.array([r.weights for r in recs[10:]]).mean(axis=0)
-                for recs in grid[("dos", "noise_40")]]
-    mean_weights = np.mean(per_seed, axis=0)
-    malicious = mean_weights[6:]   # noise_40 attacks the top ids 6..9
-    honest = mean_weights[:6]
-    ok_small = bool(malicious.max() < 0.2 / 10)
-    ok_order = bool(honest.min() > malicious.max())
-    assert report(ok_small, f"noise 40%: every malicious mean weight "
-                            f"{malicious.max():.4f} < {0.2 / 10:.3f}")
-    assert report(ok_order, f"noise 40%: honest mean weights (min {honest.min():.4f}) "
-                            f"all above malicious max")
+    check(grid, "noise 40%: max malicious mean weight",
+          "noise 40%: min honest / max malicious weight")
 
 
 @pytest.mark.parametrize("fraction", [0.1, 0.2, 0.3, 0.4, 0.5, 0.6])
 def test_breakdown_threshold(grid, fraction):
-    base = final_acc(grid[("dos", "no_attack")])
-    acc = final_acc(grid[("dos", f"noise_frac_{fraction}")])
-    if fraction <= 0.5:
-        ok = acc >= 0.9 * base
-        label = f"noise fraction {fraction}: dos {acc:.3f} >= 0.9 x no-attack {base:.3f}"
-    else:
-        ok = acc < 0.75 * base
-        label = f"noise fraction {fraction}: dos {acc:.3f} < 0.75 x no-attack {base:.3f}"
-    assert report(ok, label)
+    check(grid, "noise 40%: DOS / base" if fraction == 0.4
+          else f"noise fraction {fraction}: DOS / base")
 
 
 def test_noise_frac_configs_name_their_noise_clients(grid):
@@ -200,12 +218,7 @@ def test_noise_frac_configs_name_their_noise_clients(grid):
 
 
 def test_crafted_attack_ordering(grid):
-    dos = final_acc(grid[("dos", "crafted_40")])
-    krum = final_acc(grid[("krum", "crafted_40")])
-    ok_gap = dos - krum >= 0.10
-    ok_band = abs(krum - CHANCE) <= 0.10
-    assert report(ok_gap, f"crafted 40%: dos {dos:.3f} beats krum {krum:.3f} by >= 0.10")
-    assert report(ok_band, f"crafted 40%: krum {krum:.3f} within 0.10 of chance {CHANCE}")
+    check(grid, "crafted 40%: DOS − Krum", "crafted 40%: |Krum − chance|")
 
 
 def test_outputs_match_golden_digests(grid):
