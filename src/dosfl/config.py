@@ -21,7 +21,7 @@ from dataclasses import dataclass, field, replace
 from functools import cache, reduce
 from typing import get_args, get_type_hints
 
-from .aggregators import AggregatorSpec, krum_neighbors, trim_count
+from .aggregators import AggregatorSpec, krum_neighbors
 from .attacks import ATTACK_KINDS, AttackKind, AttackPlan
 from .errors import ConfigError
 from .models import ModelSpec
@@ -65,8 +65,10 @@ def _finite_float(text: str) -> float:
     return value
 
 
+@cache
 def parse_attack_kind(text: str) -> AttackKind | None:
-    """Parse a kind spec like ``noise(sigma=1.0)`` or ``none``."""
+    """Parse a kind spec like ``noise(sigma=1.0)`` or ``none``; each text is
+    parsed once per process, and configs share its frozen result."""
     m = _KIND_RE.match(text.strip())
     if not m:
         raise ConfigError(f"cannot parse attack kind {text!r}")
@@ -161,7 +163,6 @@ class ExperimentConfig:
         elif self.custom_plan:
             raise ConfigError("attack.client.* entries require attack = custom")
         elif self.attack in SCENARIOS:
-            # each group's spec is parsed once, however many clients it covers
             kinds = expand_groups([(parse_attack_kind(spec), frac)
                                    for spec, frac in SCENARIOS[self.attack]], self.clients)
         else:
@@ -197,8 +198,6 @@ class ExperimentConfig:
             raise ConfigError("attack plan must leave at least one honest client")
         if self.aggregator.kind == "krum":
             krum_neighbors(self.clients, self.aggregator.resolve_krum_f(self.clients))
-        if self.aggregator.kind == "trimmed_mean":
-            trim_count(self.aggregator.trim_fraction, self.clients)
 
     def to_setup(self):  # perfbench/ still calls this: a config is its own run setup
         return self

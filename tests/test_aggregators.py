@@ -61,6 +61,17 @@ def test_trimmed_mean_rejects_bad_fraction():
         aggregate_trimmed_mean(matrix_of([1.0, 2.0, 3.0]), -0.1)
 
 
+@pytest.mark.parametrize("fraction", [0.0, 0.1, 0.25, 1 / 3, 0.4, 0.49, np.nextafter(0.5, 0)])
+def test_every_valid_fraction_keeps_a_value_of_every_client_count(fraction):
+    # why ExperimentConfig does not check the trimmed mean's count: for
+    # 0 <= f < 0.5, which AggregatorSpec checks, and n >= 2, which the config
+    # checks, f * n rounds below n / 2, so trim_count keeps at least one value
+    for n in [*range(2, 10001), 2 ** 31 - 1, 2 ** 52 + 1, 2 ** 53 - 1]:
+        assert n - 2 * aggregators.trim_count(fraction, n) >= 1
+    with pytest.raises(ConfigError):  # a call without a config still meets trim_count's check
+        aggregate_trimmed_mean(np.empty((0, 3)), fraction)
+
+
 def test_krum_nearest_neighbor_scores():
     mat = matrix_of([0.0, 0.1, 0.2, 10.0])
     res = aggregate_krum(mat, f=1)

@@ -176,6 +176,15 @@ def test_custom_plan_round_trip():
     assert cfg.flat_dict()["attack.client.3"] == "scale(factor=100)"
 
 
+def test_each_custom_entry_is_parsed_once():
+    # the plan reads the parse that checked the entry's own line
+    parse_attack_kind.cache_clear()
+    parse_config_text("clients = 4\nattack = custom\n"
+                      "attack.client.3 = scale(factor=100)\n"
+                      "attack.client.2 = noise(sigma=2)\n")
+    assert parse_attack_kind.cache_info().misses == 2
+
+
 def test_custom_entries_require_custom_mode():
     with pytest.raises(ConfigError):
         parse_config_text("attack = noise_40\nattack.client.1 = none\n")
