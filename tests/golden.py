@@ -15,16 +15,18 @@ regenerates the file with ``python3 tools/golden_digests.py``.
 
 The digests hold only for the numpy, scipy and BLAS builds that made them,
 so the file records those versions too.  They also depend on the SIMD
-kernels numpy dispatches to and on the core OpenBLAS selects, which a CPU
-without AVX-512 changes (``NPY_DISABLE_CPU_FEATURES`` and
-``OPENBLAS_CORETYPE`` emulate one), so the file records that platform too:
-when digests move on another platform, each digest test names both first
-(:func:`platform_change`).
+kernels numpy dispatches to and on the core OpenBLAS selects (the
+platform), which a CPU without AVX-512 changes.  So the file holds one pair
+of maps per platform: the one the script runs on, and the AVX2 and Haswell
+kernels such a CPU selects, which :data:`EMULATED` switches to in a child
+process.  Each digest test compares the pair of the platform it runs on.
 """
 
 import ctypes
 import hashlib
 import json
+import os
+import subprocess
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -32,7 +34,8 @@ from pathlib import Path
 import numpy as np
 from numpy._core import _multiarray_umath as umath
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "perfbench"))
 
 from worker import environment, records_digest  # noqa: E402
 
@@ -44,6 +47,10 @@ from dosfl.models import ModelSpec  # noqa: E402
 GOLDEN_PATH = Path(__file__).resolve().parent / "golden_digests.json"
 VERSION_KEYS = ("numpy", "scipy", "blas")
 MAPS = ("digests", "theta_digests")  # record digests, then global-parameter digests
+# numpy's AVX2 kernels and OpenBLAS's Haswell kernels, which a CPU without
+# AVX-512 selects, for a process started with these variables
+EMULATED = {"NPY_DISABLE_CPU_FEATURES": "X86_V4 AVX512_ICL AVX512_SPR",
+            "OPENBLAS_CORETYPE": "Haswell"}
 
 _SHORT = ExperimentConfig(train=TrainConfig(rounds=3))
 # the wide_model workload's shape: mlp1 100-1000-4, 105004 parameters per client
@@ -112,19 +119,10 @@ def platform() -> dict[str, object]:
     return {"numpy_dispatch": targets, "openblas_core": core}
 
 
-def platform_change(pinned: dict) -> str | None:
-    """For a test whose digests moved: the line naming the golden file's
-    platform and this run's, or None when they are the same."""
-    here = platform()
-    if pinned["platform"] == here:
-        return None
-    return f"golden digests were made on {pinned['platform']}, this run is on {here}"
-
-
-def digests(grid: dict) -> dict[str, dict[str, str]]:
+def digests(grid: dict, short=tuple(SHORT_RUNS)) -> dict[str, dict[str, str]]:
     """Both digests of every grid run, keyed by rule, attack and seed index,
-    and of every short run, keyed by its name; the grid's runs come from
-    :func:`run`."""
+    and of the named short runs, keyed by their names; the grid's runs come
+    from :func:`run`."""
     runs, hashed = {}, set()
     for (rule, attack), suite in grid.items():
         if id(suite) in hashed:  # a second name for runs already hashed
@@ -132,16 +130,39 @@ def digests(grid: dict) -> dict[str, dict[str, str]]:
         hashed.add(id(suite))
         for seed, records in enumerate(suite):
             runs[f"grid/{rule}/{attack}/{seed}"] = records
-    for name, cfg in SHORT_RUNS.items():
-        runs[f"short/{name}"] = run(cfg)
+    for name in short:
+        runs[f"short/{name}"] = run(SHORT_RUNS[name])
     return {"digests": {name: records_digest(r) for name, r in runs.items()},
             "theta_digests": {name: r.theta_digest for name, r in runs.items()}}
+
+
+def made_here(grid: dict, short=tuple(SHORT_RUNS)) -> dict:
+    """A pair as the golden file holds it: this platform and :func:`digests`."""
+    return {"platform": platform(), **digests(grid, short)}
+
+
+def made_in_child(call: str, env: dict[str, str]) -> dict:
+    """The pair that ``call``, a call of :func:`made_here` that may read
+    ``run_grid``, returns in a fresh interpreter with ``env`` added to this
+    process's environment."""
+    code = ("import json; from tests import golden; from tests.test_acceptance import run_grid; "
+            f"print(json.dumps(golden.{call}))")
+    proc = subprocess.run([sys.executable, "-c", code], cwd=ROOT, capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path), **env})
+    if proc.returncode:
+        raise RuntimeError(f"{call} failed under {env}:\n{proc.stderr}")
+    return json.loads(proc.stdout)
 
 
 def load() -> dict:
     return json.loads(GOLDEN_PATH.read_text())
 
 
-def write(grid: dict) -> None:
-    body = {"versions": versions(), "platform": platform(), **digests(grid)}
+def pair(pinned: dict, made_on: dict) -> dict | None:
+    """The pinned file's pair made on the platform ``made_on``, or None."""
+    return next((p for p in pinned["platforms"] if p["platform"] == made_on), None)
+
+
+def write(pairs: list[dict]) -> None:
+    body = {"versions": versions(), "platforms": pairs}
     GOLDEN_PATH.write_text(json.dumps(body, indent=1, sort_keys=True) + "\n")

@@ -221,91 +221,110 @@ def test_crafted_attack_ordering(grid):
     check(grid, "crafted 40%: DOS − Krum", "crafted 40%: |Krum − chance|")
 
 
-def test_outputs_match_golden_digests(grid):
+def golden_pair(made_on: dict) -> dict:
+    """The golden file's pair of maps made on the platform ``made_on``; the
+    calling test fails, naming the command that makes it, when there is none."""
     pinned = golden.load()
     if pinned["versions"] != golden.versions():
         pytest.fail(f"golden digests were made with {pinned['versions']}, this run has "
                     f"{golden.versions()}; regenerate them with python3 tools/golden_digests.py")
-    got = golden.digests(grid)
+    if (found := golden.pair(pinned, made_on)) is None:
+        pytest.fail(f"golden digests hold no pair made on {made_on}; python3 "
+                    "tools/golden_digests.py makes the pair of the platform it runs on")
+    return found
+
+
+def test_outputs_match_golden_digests(grid):
+    want, got = golden_pair(golden.platform()), golden.digests(grid)
     for key in golden.MAPS:
-        assert sorted(got[key]) == sorted(pinned[key])
-    moved = {key: sorted(name for name, digest in pinned[key].items() if got[key][name] != digest)
+        assert sorted(got[key]) == sorted(want[key])
+    moved = {key: sorted(name for name, digest in want[key].items() if got[key][name] != digest)
              for key in golden.MAPS}
-    # a platform whose bits agree passes; one whose bits moved is named first
-    if any(moved.values()) and (line := golden.platform_change(pinned)):
-        report(False, line)
     for key, names in moved.items():
         report(not names, f"{len(got[key]) - len(names)} of {len(got[key])} runs match their "
                           f"golden {key}; moved: {names}")
     assert not any(moved.values())
 
 
+def other_platform_pair() -> dict:
+    """A pair of the golden file made on a platform other than this one."""
+    return next(p for p in golden.load()["platforms"] if p["platform"] != golden.platform())
+
+
 @pytest.mark.parametrize("bits_move", [False, True])
 def test_golden_digests_name_a_differing_platform_when_bits_move(monkeypatch, capsys, bits_move):
-    pinned = golden.load()
-    got = {key: dict(pinned[key]) for key in golden.MAPS}
+    # on another platform the test reads that platform's pair, whose digests
+    # differ from this one's
+    other = other_platform_pair()
+    got = {key: dict(other[key]) for key in golden.MAPS}
     if bits_move:
         got["theta_digests"]["short/median"] = "0" * 64
-    other = {"numpy_dispatch": ["X86_V3"], "openblas_core": "Haswell"}
-    monkeypatch.setattr(golden, "versions", lambda: pinned["versions"])
+    monkeypatch.setattr(golden, "versions", lambda: golden.load()["versions"])
     monkeypatch.setattr(golden, "digests", lambda grid: got)
-    monkeypatch.setattr(golden, "platform", lambda: other)
+    monkeypatch.setattr(golden, "platform", lambda: other["platform"])
     if not bits_move:
-        test_outputs_match_golden_digests(grid={})  # no gate on the platform itself
-        assert "made on" not in capsys.readouterr().out
+        test_outputs_match_golden_digests(grid={})
         return
     with pytest.raises(AssertionError):
         test_outputs_match_golden_digests(grid={})
-    lines = capsys.readouterr().out.splitlines()
-    assert lines[0] == (f"[FAIL] golden digests were made on {pinned['platform']}, "
-                        f"this run is on {other}")
-    assert lines[2].endswith("moved: ['short/median']")
+    assert capsys.readouterr().out.splitlines()[1].endswith("moved: ['short/median']")
+
+
+def check_short_runs(names: list[str], env: dict[str, str]) -> None:
+    """Run the named short runs in a child process with ``env`` added, and
+    compare both digests of each with the golden pair of the child's platform."""
+    got = golden.made_in_child(f"made_here({{}}, {names!r})", env)
+    want = golden_pair(got["platform"])
+    assert all([report(all(got[key][f"short/{name}"] == want[key][f"short/{name}"]
+                           for key in golden.MAPS),
+                       f"short/{name} with {env} matches both golden digests") for name in names])
 
 
 def test_wide_dos_crafted_digests_hold_on_one_blas_thread():
     # the golden file is made at the machine's BLAS thread count; DOS and the
     # order rules at the wide_model width must give the same bits on one thread
-    names = ["wide_dos_crafted", "wide_median", "wide_trimmed_mean"]
-    code = ("import json; from tests import golden; from worker import records_digest; "
-            f"runs = {{name: golden.run(golden.SHORT_RUNS[name]) for name in {names!r}}}; "
-            "print(json.dumps({name: [records_digest(r), r.theta_digest] "
-            "for name, r in runs.items()}))")
-    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "PYTHONPATH": os.pathsep.join(sys.path)}
-    proc = subprocess.run([sys.executable, "-c", code], cwd=Path(__file__).resolve().parent.parent,
-                          env=env, capture_output=True, text=True)
-    assert proc.returncode == 0, proc.stderr
-    got, pinned = json.loads(proc.stdout), golden.load()
-    held = {name: got[name] == [pinned[key][f"short/{name}"] for key in golden.MAPS]
-            for name in names}
-    # the child inherits this process's numeric platform, so it is named here
-    if not all(held.values()) and (line := golden.platform_change(pinned)):
-        report(False, line)
-    assert all([report(ok, f"short/{name} on one BLAS thread matches both golden digests")
-                for name, ok in held.items()])
+    check_short_runs(["wide_dos_crafted", "wide_median", "wide_trimmed_mean"],
+                     {"OPENBLAS_NUM_THREADS": "1"})
+
+
+def test_short_runs_match_the_golden_digests_of_avx2_and_haswell_kernels():
+    check_short_runs(list(golden.SHORT_RUNS), golden.EMULATED)
 
 
 @pytest.mark.parametrize("bits_move", [False, True])
 def test_one_thread_digests_name_a_differing_platform_when_bits_move(monkeypatch, capsys,
                                                                      bits_move):
-    pinned = golden.load()
-    got = {name: [pinned[key][f"short/{name}"] for key in golden.MAPS]
-           for name in ("wide_dos_crafted", "wide_median", "wide_trimmed_mean")}
+    # a child on another platform is compared with that platform's pair
+    other = other_platform_pair()
+    got = {"platform": other["platform"], **{key: dict(other[key]) for key in golden.MAPS}}
     if bits_move:
-        got["wide_median"][1] = "0" * 64
-    other = {"numpy_dispatch": ["X86_V3"], "openblas_core": "Haswell"}
-    monkeypatch.setattr(golden, "platform", lambda: other)
+        got["theta_digests"]["short/wide_median"] = "0" * 64
+    monkeypatch.setattr(golden, "versions", lambda: golden.load()["versions"])
     monkeypatch.setattr(subprocess, "run", lambda args, **kw: subprocess.CompletedProcess(
         args, 0, stdout=json.dumps(got), stderr=""))
     if not bits_move:
-        test_wide_dos_crafted_digests_hold_on_one_blas_thread()  # no gate on the platform itself
-        assert "made on" not in capsys.readouterr().out
+        test_wide_dos_crafted_digests_hold_on_one_blas_thread()
         return
     with pytest.raises(AssertionError):
         test_wide_dos_crafted_digests_hold_on_one_blas_thread()
-    lines = capsys.readouterr().out.splitlines()
-    assert lines[0] == (f"[FAIL] golden digests were made on {pinned['platform']}, "
-                        f"this run is on {other}")
-    assert lines[2] == "[FAIL] short/wide_median on one BLAS thread matches both golden digests"
+    assert capsys.readouterr().out.splitlines()[1] == (
+        "[FAIL] short/wide_median with {'OPENBLAS_NUM_THREADS': '1'} matches both golden digests")
+
+
+@pytest.mark.parametrize("made_in_child", [False, True], ids=["grid", "child"])
+def test_digest_tests_name_the_command_for_a_platform_missing_from_the_file(monkeypatch,
+                                                                            made_in_child):
+    nowhere = {"numpy_dispatch": [], "openblas_core": "nowhere"}
+    monkeypatch.setattr(golden, "versions", lambda: golden.load()["versions"])
+    monkeypatch.setattr(golden, "platform", lambda: nowhere)
+    monkeypatch.setattr(subprocess, "run", lambda args, **kw: subprocess.CompletedProcess(
+        args, 0, stdout=json.dumps({"platform": nowhere}), stderr=""))
+    with pytest.raises(pytest.fail.Exception, match=r"no pair made on .*'nowhere'.*"
+                                                    r"python3 tools/golden_digests.py"):
+        if made_in_child:
+            test_wide_dos_crafted_digests_hold_on_one_blas_thread()
+        else:
+            test_outputs_match_golden_digests(grid={})
 
 
 def test_copod_matches_bruteforce_oracle():
