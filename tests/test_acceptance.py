@@ -123,6 +123,9 @@ def run_grid(seeds=SEEDS):
     return grid
 
 
+SYMBOLS = {le: "≤", lt: "<", ge: "≥", gt: ">"}
+
+
 class Line(NamedTuple):
     """A frozen line; it holds when ``comparison(statistic, factor * reference)``."""
 
@@ -136,9 +139,6 @@ class Line(NamedTuple):
 
     def __str__(self) -> str:  # the statistic and the bound it is compared with
         return f"{self.statistic:.4f} {SYMBOLS[self.comparison]} {self.factor * self.reference:.4f}"
-
-
-SYMBOLS = {le: "≤", lt: "<", ge: "≥", gt: ">"}
 
 
 def frozen_lines(grid) -> dict[str, Line]:
