@@ -85,7 +85,8 @@ def aggregate_dos(mat: np.ndarray) -> AggregationResult:
 
     The score is the mean of the Euclidean and the cosine matrix's COPOD
     scores, each over the full (n, n) matrix: the ECDFs absorb the tied zeros
-    of the diagonal."""
+    of the diagonal.  COPOD reads ranks and skewness signs, so rows scaled by a
+    power of two, as ``pairwise_distances`` scales huge ones, score the same."""
     euclidean, cosine = pairwise_distances(mat)
     scores = (copod_scores(euclidean) + copod_scores(cosine)) / 2.0
     weights = softmax_weights(scores)

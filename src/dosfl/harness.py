@@ -315,7 +315,10 @@ def prepare_shards(cfg: ExperimentConfig) -> tuple[list[LabeledDataset], Labeled
     else:
         shards = partition_label_skew(train, cfg.clients, cfg.skew_alpha, rng_part)
     for cid, flip in cfg.plan.label_flip_items():
-        shards[cid] = attack_label_flip(shards[cid], flip, seed_stream(cfg.seed, "labelflip", cid))
+        try:
+            shards[cid] = attack_label_flip(shards[cid], flip, seed_stream(cfg.seed, "labelflip", cid))
+        except ConfigError as exc:  # a label-skewed shard may hold no source sample
+            raise ConfigError(f"client {cid}: {exc}") from None
     return shards, test
 
 

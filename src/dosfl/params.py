@@ -126,16 +126,14 @@ def pairwise_distances(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     1.0), which keeps the matrix finite when an attack or initialization
     produces an all-zero update.  Any other pair at Euclidean distance
     exactly 0 is at cosine distance exactly 0.  Rows whose squared norms
-    could overflow are scaled by 2**-e for the kernels and the Euclidean
-    distances by 2**e back, so finite rows give finite distances.  A run has
-    at least 2 rows, as its config ensures; ``copod_scores`` refuses fewer.
+    could overflow are scaled by a power of two first, and both matrices are
+    of the scaled rows, so finite rows give finite distances.  A run has at
+    least 2 rows, as its config ensures; ``copod_scores`` refuses fewer.
     """
     # A squared norm is 0 exactly when the norm is, also when every square underflows.
     sq_norms = np.einsum("ij,ij->i", mat, mat)
-    e = 0
     if sq_norms.max() > np.finfo(np.float64).max / 8:  # below it, no squared difference overflows
-        e = int(np.frexp(np.abs(mat).max())[1])
-        mat = np.ldexp(mat, -e)  # entries below 1 in magnitude
+        mat = np.ldexp(mat, -np.frexp(np.abs(mat).max())[1])  # entries below 1 in magnitude
         sq_norms = np.einsum("ij,ij->i", mat, mat)
     euc = _distance_matrix(mat, "euclidean")
     cos = _distance_matrix(mat, "cosine")  # NaN or arbitrary on zero-norm rows, reset below
@@ -146,8 +144,6 @@ def pairwise_distances(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     cos[zero_norm, :] = 1.0
     cos[:, zero_norm] = 1.0
     np.fill_diagonal(cos, 0.0)
-    if e:
-        np.ldexp(euc, e, out=euc)
     return euc, cos
 
 

@@ -137,8 +137,8 @@ class Line(NamedTuple):
     def holds(self) -> bool:
         return bool(self.comparison(self.statistic, self.factor * self.reference))
 
-    def __str__(self) -> str:  # the statistic and the bound it is compared with
-        return f"{self.statistic:.4f} {SYMBOLS[self.comparison]} {self.factor * self.reference:.4f}"
+    def __str__(self) -> str:  # the statistic over the reference, against the factor
+        return f"{self.statistic / self.reference:.3f} {SYMBOLS[self.comparison]} {self.factor:g}"
 
 
 def frozen_lines(grid) -> dict[str, Line]:
@@ -252,7 +252,7 @@ def other_platform_pair() -> dict:
 
 
 @pytest.mark.parametrize("bits_move", [False, True])
-def test_golden_digests_name_a_differing_platform_when_bits_move(monkeypatch, capsys, bits_move):
+def test_golden_digests_read_the_pair_of_another_platform(monkeypatch, capsys, bits_move):
     # on another platform the test reads that platform's pair, whose digests
     # differ from this one's
     other = other_platform_pair()
@@ -292,8 +292,7 @@ def test_short_runs_match_the_golden_digests_of_avx2_and_haswell_kernels():
 
 
 @pytest.mark.parametrize("bits_move", [False, True])
-def test_one_thread_digests_name_a_differing_platform_when_bits_move(monkeypatch, capsys,
-                                                                     bits_move):
+def test_one_thread_digests_read_the_pair_of_another_platform(monkeypatch, capsys, bits_move):
     # a child on another platform is compared with that platform's pair
     other = other_platform_pair()
     got = {"platform": other["platform"], **{key: dict(other[key]) for key in golden.MAPS}}

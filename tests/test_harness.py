@@ -625,6 +625,14 @@ def test_label_flip_poisons_training_data():
     np.testing.assert_array_equal(shards[0].features, clean[0].features)
 
 
+def test_label_flip_of_a_class_its_shard_lacks_names_the_client():
+    # label_skew at the default alpha leaves client 6 of mix_40 at seed 0 no
+    # sample of class 0, the class that its label flip relabels
+    cfg = ExperimentConfig(attack="mix_40", partition="label_skew", seed=0)
+    with pytest.raises(ConfigError, match=r"^client 6: source class 0 absent"):
+        prepare_shards(cfg)
+
+
 def test_failing_round_is_named():
     # a huge scale factor overflows to inf in round 1 when applied to the
     # already-scaled global model

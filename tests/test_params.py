@@ -138,11 +138,27 @@ def test_pairwise_distances_of_rows_near_overflow_are_finite():
     euclidean, cosine = pairwise_distances(mat)
     assert np.all(np.isfinite(euclidean)) and np.all(np.isfinite(cosine))
     e = np.frexp(1e154)[1]
-    np.testing.assert_array_equal(euclidean, 2.0**e * squareform(pdist(mat / 2.0**e)))
+    np.testing.assert_array_equal(euclidean, squareform(pdist(mat / 2.0**e)))
     np.testing.assert_array_equal(cosine, pairwise_distances(mat / 2.0**e)[1])
     assert euclidean[0, 1] == 0.0 and cosine[0, 1] == 0.0
     weights = aggregate_dos(mat).weights
     assert np.all(np.isfinite(weights)) and weights.sum() == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize("n, d", [(5, 3), (10, 84), (30, 7)])
+def test_dos_scores_hold_under_every_power_of_two_scale(n, d):
+    # COPOD reads ranks and skewness signs, so no power-of-two scale of the
+    # rows moves a bit of the scores or weights: not up to the largest finite
+    # one, where pairwise_distances scales the rows down for the kernels, and
+    # not down to 2**-500, short of where the squares underflow
+    rng = np.random.default_rng([n, d])
+    mat = rng.standard_normal((n, d))
+    mat[-1] = mat[0]  # tied columns
+    want = aggregate_dos(mat)
+    for k in range(-500, 1025 - np.frexp(np.abs(mat).max())[1]):
+        got = aggregate_dos(np.ldexp(mat, k))
+        assert_same_bytes(got.scores, want.scores)
+        assert_same_bytes(got.weights, want.weights)
 
 
 def awkward_rows(n: int, d: int, kind: str) -> np.ndarray:
